@@ -64,7 +64,11 @@ let fail fmt =
 let c name = Obs.counter ("parbench." ^ name)
 let span name dt = Obs.add_seconds (Obs.span ("parbench." ^ name)) dt
 
-let suite_config = { Baselines.Suite.default_config with make_trace = false }
+let suite_config =
+  {
+    Baselines.Suite.default_config with
+    cbq = { Cbq.Reachability.default with make_trace = false };
+  }
 let engines () = Baselines.Suite.engines ~config:suite_config ()
 
 let decided = function

@@ -10,45 +10,12 @@
 
 open Cmdliner
 
-type engine =
-  | Cbq_engine
-  | Cbq_fwd
-  | Bdd_bwd
-  | Bdd_fwd
-  | Bmc_engine
-  | Induction_engine
-  | Cofactor
-  | Hybrid_engine
-  | Portfolio
-
-let engine_names =
-  [
-    ("cbq", Cbq_engine);
-    ("cbq-fwd", Cbq_fwd);
-    ("bdd-bwd", Bdd_bwd);
-    ("bdd-fwd", Bdd_fwd);
-    ("bmc", Bmc_engine);
-    ("induction", Induction_engine);
-    ("cofactor", Cofactor);
-    ("hybrid", Hybrid_engine);
-    ("portfolio", Portfolio);
-  ]
-
 let load_model circuit param aag =
   match aag with
   | Some path -> (Netlist.Aiger.read_file path, None)
   | None ->
     let model, status = Circuits.Registry.build circuit param in
     (model, Some status)
-
-let print_iterations_cbq result =
-  List.iter
-    (fun it ->
-      Format.printf "  iter %2d: frontier=%d reached=%d inputs eliminated=%d kept=%d (%.3fs)@."
-        it.Cbq.Reachability.index it.Cbq.Reachability.frontier_size
-        it.Cbq.Reachability.reached_size it.Cbq.Reachability.eliminated_inputs
-        it.Cbq.Reachability.kept_inputs it.Cbq.Reachability.seconds)
-    result.Cbq.Reachability.iterations
 
 let print_minimized model t =
   let essential = Cbq.Trace.minimize model t in
@@ -60,114 +27,39 @@ let print_minimized model t =
       Format.printf "@.")
     essential
 
-let run_engine ?(minimize = false) ?jobs ?(sweep_jobs = 1)
-    ?(quantify_backend = Cbq.Quantify.default.Cbq.Quantify.backend)
-    ?(make_limits = fun () -> Util.Limits.create ()) ~limits engine model verbose trace_wanted =
-  match engine with
-  | Cbq_engine | Cbq_fwd ->
-    let config = { Cbq.Reachability.default with make_trace = trace_wanted } in
-    let quant =
-      { config.Cbq.Reachability.quant with Cbq.Quantify.backend = quantify_backend }
-    in
-    let quant =
-      if sweep_jobs <= 1 then quant
-      else { quant with Cbq.Quantify.sweep = { quant.Cbq.Quantify.sweep with sat_jobs = sweep_jobs } }
-    in
-    let config = { config with quant } in
-    let r =
-      if engine = Cbq_fwd then Cbq.Forward.run ~config ~limits model
-      else Cbq.Reachability.run ~config ~limits model
-    in
-    Format.printf "%a@." Cbq.Reachability.pp_result r;
-    if verbose then print_iterations_cbq r;
-    (match r.Cbq.Reachability.verdict with
-    | Cbq.Reachability.Falsified { trace = Some t; _ } when trace_wanted ->
-      Format.printf "%a" (Cbq.Trace.pp model) t;
-      if minimize then print_minimized model t
-    | Cbq.Reachability.Proved -> (
-      match r.Cbq.Reachability.invariant with
-      | Some inv -> (
-        match Cbq.Certify.check model ~invariant:inv with
-        | Ok () ->
-          Format.printf "certificate: inductive invariant of %d AND nodes, independently checked@."
-            (Aig.size (Netlist.Model.aig model) inv)
-        | Error f -> Format.printf "certificate REJECTED: %a@." Cbq.Certify.pp_failure f)
-      | None -> Format.printf "certificate: none (partial quantification left residuals)@.")
-    | Cbq.Reachability.Falsified _ | Cbq.Reachability.Out_of_budget _ -> ());
-    (match r.Cbq.Reachability.verdict with
-    | Cbq.Reachability.Proved -> `Proved
-    | Cbq.Reachability.Falsified { depth; _ } -> `Falsified depth
-    | Cbq.Reachability.Out_of_budget _ -> `Undecided)
-  | Bdd_bwd | Bdd_fwd ->
-    let f = if engine = Bdd_bwd then Baselines.Bdd_mc.backward else Baselines.Bdd_mc.forward in
-    let r = f ~limits model in
-    Format.printf "%a@." Baselines.Bdd_mc.pp_result r;
-    if verbose then
-      List.iter
-        (fun it ->
-          Format.printf "  iter %2d: frontier-bdd=%d reached-bdd=%d@." it.Baselines.Bdd_mc.index
-            it.Baselines.Bdd_mc.frontier_nodes it.Baselines.Bdd_mc.reached_nodes)
-        r.Baselines.Bdd_mc.iterations;
-    (match r.Baselines.Bdd_mc.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
-  | Bmc_engine ->
-    let r = Baselines.Bmc.run ~limits model in
-    Format.printf "%a@." Baselines.Bmc.pp_result r;
-    (match r.Baselines.Bmc.trace with
-    | Some t when trace_wanted -> Format.printf "%a" (Cbq.Trace.pp model) t
-    | Some _ | None -> ());
-    (match r.Baselines.Bmc.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
-  | Induction_engine ->
-    let r = Baselines.Induction.run ~limits model in
-    Format.printf "%a@." Baselines.Induction.pp_result r;
-    (match r.Baselines.Induction.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
-  | Cofactor ->
-    let r = Baselines.Cofactor_preimage.run ~limits model in
-    Format.printf "%a@." Baselines.Cofactor_preimage.pp_result r;
-    (match r.Baselines.Cofactor_preimage.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
-  | Hybrid_engine ->
-    let r = Baselines.Hybrid.run ~limits model in
-    Format.printf "%a@." Baselines.Hybrid.pp_result r;
-    (match r.Baselines.Hybrid.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
-  | Portfolio ->
-    (* the shared governor is not handed to the racers: each entrant
-       gets its own cancellable governor from [make_limits] so the
-       winner can stop the losers without poisoning anything shared *)
-    ignore limits;
-    let config =
-      {
-        Baselines.Suite.default_config with
-        make_trace = trace_wanted;
-        quantify_backend;
-      }
-    in
-    let r = Baselines.Portfolio.run ~config ?jobs ~make_limits model in
-    Format.printf "%a@." Baselines.Portfolio.pp_result r;
-    (match r.Baselines.Portfolio.trace with
-    | Some t when trace_wanted ->
-      (* clones preserve numbering, so the winner's trace replays on the
-         original model *)
-      Format.printf "%a" (Cbq.Trace.pp model) t;
-      if minimize then print_minimized model t
-    | Some _ | None -> ());
-    (match r.Baselines.Portfolio.verdict with
-    | Baselines.Verdict.Proved -> `Proved
-    | Baselines.Verdict.Falsified d -> `Falsified d
-    | Baselines.Verdict.Undecided _ -> `Undecided)
+(* One path for every engine: its own result line, its per-frame lines
+   under -v, the trace, and an independent check of any invariant it
+   returns as a PROVED certificate. *)
+let print_detail ~verbose ~trace ~minimize model (d : Baselines.Suite.detail) =
+  Format.printf "%t@." d.pp_result;
+  if verbose then Format.printf "%t" d.pp_frames;
+  (match d.trace with
+  | Some t when trace ->
+    Format.printf "%a" (Cbq.Trace.pp model) t;
+    if minimize then print_minimized model t
+  | Some _ | None -> ());
+  match d.invariant with
+  | Some inv -> (
+    match Cbq.Certify.check model ~invariant:inv with
+    | Ok () ->
+      Format.printf "certificate: inductive invariant of %d AND nodes, independently checked@."
+        (Aig.size (Netlist.Model.aig model) inv)
+    | Error f -> Format.printf "certificate REJECTED: %a@." Cbq.Certify.pp_failure f)
+  | None -> ()
+
+(* the shared governor is not handed to the racers: each entrant gets its
+   own cancellable governor from [make_limits] so the winner can stop the
+   losers without poisoning anything shared. Clones preserve numbering,
+   so the winner's trace replays on the original model. *)
+let portfolio ~config ?jobs ~make_limits ~limits:_ model =
+  let r = Baselines.Portfolio.run ~config ?jobs ~make_limits model in
+  {
+    Baselines.Suite.verdict = r.Baselines.Portfolio.verdict;
+    trace = r.Baselines.Portfolio.trace;
+    invariant = None;
+    pp_result = (fun ppf -> Baselines.Portfolio.pp_result ppf r);
+    pp_frames = ignore;
+  }
 
 (* ---------- list ---------- *)
 
@@ -187,14 +79,23 @@ let param_arg =
 let aag_arg =
   Arg.(value & opt (some file) None & info [ "aag" ] ~docv:"FILE" ~doc:"verify an ASCII AIGER file instead")
 
+(* an empty value is a usage error before any work, instead of a
+   Sys_error after the run or a write into the working directory *)
+let path_conv =
+  let parse s = if s = "" then Error (`Msg "empty path") else Ok s in
+  Arg.conv (parse, Format.pp_print_string)
+
 let engine_arg =
+  let names = Baselines.Suite.names @ [ "portfolio" ] in
   Arg.(
     value
-    & opt (enum engine_names) Cbq_engine
+    & opt (enum (List.map (fun n -> (n, n)) names)) "cbq-bwd"
     & info [ "e"; "engine" ] ~docv:"ENGINE"
         ~doc:
-          "verification engine: cbq | cbq-fwd | bdd-bwd | bdd-fwd | bmc | induction | cofactor \
-           | hybrid | portfolio (race all of them, first decisive verdict wins)")
+          (Printf.sprintf
+             "verification engine: %s (portfolio races all the others, first decisive verdict \
+              wins)"
+             (String.concat " | " names)))
 
 let jobs_arg =
   Arg.(
@@ -257,14 +158,14 @@ let stats_arg =
 let stats_json_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some path_conv) None
     & info [ "stats-json" ] ~docv:"FILE"
         ~doc:"collect telemetry and write the JSON run report to $(docv) (schema: docs/OBSERVABILITY.md)")
 
 let trace_json_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some path_conv) None
     & info [ "trace-json" ] ~docv:"FILE"
         ~doc:
           "record structured trace events and write them to $(docv) in Chrome trace_event \
@@ -323,25 +224,19 @@ let sample_interval_arg =
 let store_opt_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some path_conv) None
     & info [ "store" ] ~docv:"DIR"
         ~doc:
           "append the run report to the store at $(docv) (see $(b,cbq-mc report) for querying \
            stored runs)")
 
-let engine_name engine = fst (List.find (fun (_, e) -> e = engine) engine_names)
-
 let emit_stats ~stats ~stats_json ~store ~model ~engine ~quantify_backend ~watch ~limits
-    outcome =
+    verdict =
   Obs.meta "tool" "cbq-mc";
   Obs.meta "model" (Netlist.Model.name model);
-  Obs.meta "engine" (engine_name engine);
+  Obs.meta "engine" engine;
   Obs.meta "quantify_backend" (Cbq.Quantify.backend_name quantify_backend);
-  Obs.meta "verdict"
-    (match outcome with
-    | `Proved -> "proved"
-    | `Falsified d -> Printf.sprintf "falsified:%d" d
-    | `Undecided -> "undecided");
+  Obs.meta "verdict" (Baselines.Verdict.to_meta verdict);
   (match Util.Limits.exhausted limits with
   | Some r -> Obs.meta "exhausted" (Util.Limits.resource_name r)
   | None -> ());
@@ -398,7 +293,7 @@ let run_cmd =
     (* teardown must survive an engine exception: the sampler domain is
        joined (an unjoined domain outlives main) and the progress line
        is terminated so the trace doesn't land mid-line *)
-    let model, status, outcome =
+    let model, status, verdict =
       Fun.protect
         ~finally:(fun () ->
           Option.iter Obs.Sampler.stop sampler;
@@ -426,11 +321,19 @@ let run_cmd =
           let make_limits () =
             Util.Limits.create ?timeout ?max_conflicts ?max_aig_nodes ?max_bdd_nodes ()
           in
-          let outcome =
-            run_engine ~minimize ?jobs ~sweep_jobs ~quantify_backend ~make_limits ~limits
-              engine model verbose trace
+          let q = Cbq.Quantify.default in
+          let sweep = { q.Cbq.Quantify.sweep with sat_jobs = sweep_jobs } in
+          let quant = { q with backend = quantify_backend; sweep } in
+          let cbq = { Cbq.Reachability.default with make_trace = trace; quant } in
+          (* the CLI searches deeper with BMC and induction than the suite's defaults *)
+          let config = { Baselines.Suite.bmc_depth = 100; induction_k = 50; cbq } in
+          let run =
+            if engine = "portfolio" then portfolio ~config ?jobs ~make_limits
+            else Option.get (Baselines.Suite.find_detailed ~config engine)
           in
-          (model, status, outcome))
+          let d = run ~limits model in
+          print_detail ~verbose ~trace ~minimize model d;
+          (model, status, d.Baselines.Suite.verdict))
     in
     (match Util.Limits.exhausted limits with
     | Some r ->
@@ -439,7 +342,7 @@ let run_cmd =
     | None -> ());
     if want_stats then
       emit_stats ~stats ~stats_json ~store ~model ~engine ~quantify_backend ~watch ~limits
-        outcome;
+        verdict;
     (match trace_json with
     | Some path ->
       Obs.Trace_events.set_enabled false;
@@ -447,20 +350,18 @@ let run_cmd =
       Format.printf "trace: wrote %s (%d events, %d dropped)@." path
         (Obs.Trace_events.recorded ()) (Obs.Trace_events.dropped ())
     | None -> ());
-    match status with
-    | None ->
-      (* under explicit resource limits an Undecided verdict is the
-         documented graceful-degradation outcome, not a failure *)
-      if outcome = `Undecided && not (Util.Limits.is_limited limits) then exit 2 else exit 0
-    | Some expected ->
-      let agrees =
-        match (outcome, expected) with
-        | `Proved, Circuits.Registry.Safe -> true
-        | `Falsified d, Circuits.Registry.Unsafe e -> d = e
-        | `Undecided, _ -> true
-        | `Proved, Circuits.Registry.Unsafe _ | `Falsified _, Circuits.Registry.Safe -> false
+    (* under explicit resource limits an Undecided verdict is the
+       documented graceful-degradation outcome, not a failure *)
+    match (status, verdict) with
+    | None, Baselines.Verdict.Undecided _ when not (Util.Limits.is_limited limits) -> exit 2
+    | None, _ -> exit 0
+    | Some expected, _ ->
+      let safe, depth =
+        match expected with
+        | Circuits.Registry.Safe -> (true, None)
+        | Circuits.Registry.Unsafe e -> (false, Some e)
       in
-      if not agrees then begin
+      if not (Baselines.Verdict.agrees_with_oracle verdict ~safe ~depth) then begin
         Format.printf "WARNING: verdict disagrees with the family oracle@.";
         exit 1
       end
@@ -481,7 +382,7 @@ let run_cmd = Cmd.v (fst run_cmd) run_term
 let export_cmd =
   let doc = "write a registry circuit as AIGER (ascii, or binary with --binary)" in
   let out_arg =
-    Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"output path")
+    Arg.(required & opt (some path_conv) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"output path")
   in
   let binary_arg = Arg.(value & flag & info [ "binary" ] ~doc:"compact binary 'aig' format") in
   let run circuit param out binary =
@@ -540,7 +441,7 @@ let quantify_cmd =
 let reduce_cmd =
   let doc = "reduce a model (cone of influence + register correspondence) and export it" in
   let out_arg =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"write the reduced model as ascii AIGER")
+    Arg.(value & opt (some path_conv) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"write the reduced model as ascii AIGER")
   in
   let run circuit param aag out =
     let model, _ = load_model circuit param aag in
@@ -636,7 +537,7 @@ let fuzz_cmd =
                 PQE support-cap trigger); 0 leaves the generator streams untouched")
   in
   let corpus_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some path_conv) None
          & info [ "corpus" ] ~docv:"DIR" ~doc:"write shrunk failing models into $(docv)")
   in
   let no_shrink_arg =
@@ -682,12 +583,12 @@ let fuzz_cmd =
     | Error msg ->
       Format.eprintf "fuzz: invalid knobs: %s@." msg;
       exit 2);
+    let quant = { Cbq.Quantify.default with backend = quantify_backend } in
     let config =
       {
-        Fuzz.Oracle.default_config with
-        Fuzz.Oracle.budget =
-          { Fuzz.Oracle.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes };
-        quantify_backend;
+        Fuzz.Oracle.budget = { Fuzz.Oracle.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes };
+        suite =
+          { Baselines.Suite.default_config with cbq = { Cbq.Reachability.default with quant } };
       }
     in
     let watch = Util.Stopwatch.start () in
@@ -784,7 +685,7 @@ let sat_cmd =
 
 let report_store_arg =
   Arg.(
-    value & opt string "runs"
+    value & opt path_conv "runs"
     & info [ "store" ] ~docv:"DIR" ~doc:"run-report store directory (default: runs)")
 
 let model_filter_arg =

@@ -16,10 +16,9 @@
 type config = {
   bmc_depth : int;  (** BMC unrolling ceiling *)
   induction_k : int;  (** k-induction ceiling *)
-  make_trace : bool;  (** ask CBQ engines to rebuild counterexample traces *)
-  quantify_backend : Cbq.Quantify.backend;
-      (** quantification backend for the CBQ engines (circuit / pqe /
-          auto); the other engines ignore it *)
+  cbq : Cbq.Reachability.config;
+      (** configuration of both CBQ traversals (trace rebuilding,
+          quantification backend, sweeping); the other engines ignore it *)
 }
 
 val default_config : config
@@ -39,5 +38,21 @@ val names : string list
 (** [find ?config name] — the named engine, or [None] for an unknown name. *)
 val find : ?config:config -> string -> engine option
 
-val of_cbq : Cbq.Reachability.verdict -> Verdict.t
-val trace_of_cbq : Cbq.Reachability.verdict -> Cbq.Trace.t option
+(** What a front-end shows of one engine run, beyond {!engine}'s verdict
+    and trace. *)
+type detail = {
+  verdict : Verdict.t;
+  trace : Cbq.Trace.t option;
+  invariant : Aig.lit option;
+      (** on [Proved], an inductive invariant for {!Cbq.Certify.check},
+          when the engine produced one *)
+  pp_result : Format.formatter -> unit;  (** the engine's own one-line result *)
+  pp_frames : Format.formatter -> unit;
+      (** one line per traversal frame; prints nothing for engines
+          without frames *)
+}
+
+(** [find_detailed ?config name] — the same table as {!find}, returning
+    the engine's {!detail}. *)
+val find_detailed :
+  ?config:config -> string -> (limits:Util.Limits.t -> Netlist.Model.t -> detail) option

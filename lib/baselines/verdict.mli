@@ -7,4 +7,9 @@ type t =
   | Undecided of string (* resource or method limit, with the reason *)
 
 val agrees_with_oracle : t -> safe:bool -> depth:int option -> bool
+
+(** The run-report [verdict] meta value: [proved], [falsified:N] or
+    [undecided]. *)
+val to_meta : t -> string
+
 val pp : Format.formatter -> t -> unit

@@ -1,97 +1,17 @@
-let exact_answer checker lits =
-  Cnf.Checker.set_conflict_limit checker None;
-  Cnf.Checker.satisfiable checker lits
-
-(* see [Reachability.budget_reason]: certification queries left [Maybe]
-   by the run-wide governor must degrade the run, never read as No *)
-let budget_reason limits =
-  match Util.Limits.exhausted limits with
-  | Some r -> Util.Limits.resource_name r
-  | None -> Util.Limits.resource_name Util.Limits.Conflicts
-
-(* Same metric names as [Reachability] — the registry resolves them to
-   the same global accumulators, so either traversal direction fills the
-   per-frame section of the run report. *)
-let obs_iterations = Obs.counter "reach.iterations"
-let obs_iter_span = Obs.span "reach.iteration"
-let obs_frontier_size = Obs.histogram "reach.frontier_size"
-let obs_reached_size = Obs.histogram "reach.reached_size"
-let obs_eliminated = Obs.counter "reach.eliminated_inputs"
-let obs_kept = Obs.counter "reach.kept_inputs"
-
-let sum_naive reports =
-  List.fold_left (fun acc r -> acc + r.Quantify.size_naive) 0 reports
-
-let run ?(config = Reachability.default) ?(limits = Util.Limits.unlimited) model =
-  let watch = Util.Stopwatch.start () in
-  Obs.Progress.begin_run ();
-  let limits = Obs.Limits.arm limits in
+(* Img(R): conjoin the transition relation, eliminate current-state,
+   input and residual variables; the frame loop renames what stays
+   free and [rebase] maps the primed next-state variables back to the
+   current ones. Forward starts from the initial states, targets the bad
+   states, and its reached set is itself the invariant. *)
+let image env ~init ~bad =
+  let model = env.Reachability.model in
   let aig = Netlist.Model.aig model in
-  let checker = Cnf.Checker.create aig in
-  Cnf.Checker.set_limits checker limits;
-  let prng = Util.Prng.create config.Reachability.seed in
-  (* one pattern bank for the whole traversal, shared by every image step *)
-  let bank = Sweep.Pattern_bank.create () in
-  let init = Netlist.Model.init_lit model in
   let input_vars = Netlist.Model.input_vars model in
   let state_vars = Netlist.Model.state_vars model in
-  let iterations = ref [] in
-  let peak = ref (Aig.size aig init) in
-  let aborted_acc = ref [] in
-  let finish ?invariant verdict =
-    {
-      Reachability.verdict;
-      iterations = List.rev !iterations;
-      total_seconds = Util.Stopwatch.elapsed watch;
-      peak_frontier = !peak;
-      sat_queries = Cnf.Checker.queries checker;
-      invariant;
-      aborted_vars = Reachability.record_aborted_vars !aborted_acc;
-    }
-  in
-  let falsified hit_iteration =
-    if config.Reachability.make_trace || config.Reachability.use_reached_dc then begin
-      let unroll = Unroll.create model in
-      let rec search d =
-        if d > hit_iteration + 64 then None
-        else
-          match exact_answer checker [ Unroll.bad_at unroll d ] with
-          | Cnf.Checker.Yes ->
-            Some
-              (d, Unroll.trace_from_model unroll ~depth:d ~value:(Cnf.Checker.model_var checker))
-          | Cnf.Checker.No -> search (d + 1)
-          (* a budgeted Maybe must stop the scan — skipping past an
-             undecided depth could certify a wrong depth *)
-          | Cnf.Checker.Maybe -> None
-      in
-      match search hit_iteration with
-      | Some (d, t) ->
-        Reachability.Falsified
-          { depth = d; trace = (if config.Reachability.make_trace then Some t else None) }
-      | None -> (
-        (* the reached-set don't-care makes the hit iteration a bound, not
-           the depth; if the governor kept the scan from confirming it,
-           degrade rather than risk a wrong depth *)
-        match Util.Limits.exhausted limits with
-        | Some r when config.Reachability.use_reached_dc ->
-          Reachability.Out_of_budget
-            { reason = Util.Limits.resource_name r; frames = hit_iteration }
-        | Some _ | None -> Reachability.Falsified { depth = hit_iteration; trace = None })
-    end
-    else Reachability.Falsified { depth = hit_iteration; trace = None }
-  in
-  (* bad states over the state variables (property inputs quantified) *)
-  let bad_raw = Aig.not_ model.Netlist.Model.property in
-  let bad_inputs = List.filter (fun v -> List.mem v input_vars) (Aig.support aig bad_raw) in
-  let bad_result =
-    Quantify.all ~config:config.Reachability.quant ~bank aig checker ~prng bad_raw
-      ~vars:bad_inputs
-  in
-  let bad = bad_result.Quantify.lit in
-  let bad_clean = bad_result.Quantify.kept = [] in
-  aborted_acc := bad_result.Quantify.kept;
   (* primed variables standing for the next state in the relational image *)
-  let primed = List.map (fun l -> (l.Netlist.Model.state_var, Aig.fresh_var aig)) model.Netlist.Model.latches in
+  let primed =
+    List.map (fun l -> (l.Netlist.Model.state_var, Aig.fresh_var aig)) model.Netlist.Model.latches
+  in
   let transition =
     Aig.and_list aig
       (List.map
@@ -104,128 +24,22 @@ let run ?(config = Reachability.default) ?(limits = Util.Limits.unlimited) model
     let back = List.find_opt (fun (_, y) -> y = v) primed in
     Option.map (fun (s, _) -> Aig.var aig s) back
   in
-  let aux_vars = ref [] in
-  (* Img(R): conjoin the transition relation, eliminate current-state,
-     input and residual variables, then rename primed to current *)
-  let image frontier =
-    let product = Aig.and_ aig transition frontier in
-    let support = Aig.support aig product in
-    let to_quantify =
-      List.filter
-        (fun v ->
-          List.mem v state_vars || List.mem v input_vars || List.mem v !aux_vars)
-        support
-    in
-    let q =
-      Quantify.all ~config:config.Reachability.quant ~bank aig checker ~prng product
-        ~vars:to_quantify
-    in
-    aborted_acc := q.Quantify.kept @ !aborted_acc;
-    (* rename residual model variables so they cannot collide with the
-       next iteration's state/input variables *)
-    let residual_model_vars =
-      List.filter (fun v -> List.mem v state_vars || List.mem v input_vars) q.Quantify.kept
-    in
-    let renaming = List.map (fun v -> (v, Aig.fresh_var aig)) residual_model_vars in
-    let lit =
-      if renaming = [] then q.Quantify.lit
-      else
-        Aig.compose aig q.Quantify.lit ~subst:(fun v ->
-            Option.map (Aig.var aig) (List.assoc_opt v renaming))
-    in
-    aux_vars :=
-      List.map snd renaming
-      @ List.filter (fun v -> not (List.mem v q.Quantify.eliminated)) !aux_vars;
-    let renamed = Aig.compose aig lit ~subst:unprime in
-    (renamed, q)
-  in
-  match exact_answer checker [ init; bad ] with
-  | Cnf.Checker.Yes -> finish (falsified 0)
-  | Cnf.Checker.Maybe ->
-    finish (Reachability.Out_of_budget { reason = budget_reason limits; frames = 0 })
-  | Cnf.Checker.No -> begin
-    let reached = ref init in
-    let frontier = ref init in
-    let rec loop k =
-      (* per-frame governor poll, mirroring the backward engine *)
-      match Util.Limits.check_aig_nodes limits (Aig.num_nodes aig) with
-      | Some r ->
-        Obs.Trace_events.instant_args "reach.limit_stop" "frame" k;
-        finish
-          (Reachability.Out_of_budget
-             { reason = Util.Limits.resource_name r; frames = k - 1 })
-      | None ->
-      if k > config.Reachability.max_iterations then
-        finish (Reachability.Out_of_budget { reason = "iteration limit"; frames = k - 1 })
-      else begin
-        let step_watch = Util.Stopwatch.start () in
-        Obs.Trace_events.begin_args "reach.frame" "frame" k;
-        let img, q = image !frontier in
-        let img =
-          if config.Reachability.sweep_frontier then
-            fst (Synth.Opt.sweep_and_compact ~bank aig checker ~prng img)
-          else img
+  {
+    Reachability.initial = init;
+    target = bad;
+    step =
+      (fun frontier ~extra_vars ->
+        let product = Aig.and_ aig transition frontier in
+        let to_quantify =
+          List.filter
+            (fun v -> List.mem v state_vars || List.mem v input_vars || List.mem v extra_vars)
+            (Aig.support aig product)
         in
-        let img =
-          if config.Reachability.use_reached_dc then
-            fst
-              (Synth.Dontcare.simplify_under_care ~bank aig checker ~prng
-                 ~care:(Aig.not_ !reached) img)
-          else img
-        in
-        let fsize = Aig.size aig img in
-        if fsize > !peak then peak := fsize;
-        let reached' = Aig.or_ aig !reached img in
-        let it =
-          {
-            Reachability.index = k;
-            frontier_size = fsize;
-            reached_size = Aig.size aig reached';
-            eliminated_inputs = List.length q.Quantify.eliminated;
-            kept_inputs = List.length q.Quantify.kept;
-            naive_size = sum_naive q.Quantify.reports;
-            seconds = Util.Stopwatch.elapsed step_watch;
-          }
-        in
-        Obs.incr obs_iterations;
-        Obs.add_seconds obs_iter_span it.Reachability.seconds;
-        Obs.observe obs_frontier_size it.Reachability.frontier_size;
-        Obs.observe obs_reached_size it.Reachability.reached_size;
-        Obs.add obs_eliminated it.Reachability.eliminated_inputs;
-        Obs.add obs_kept it.Reachability.kept_inputs;
-        Obs.Trace_events.sample "reach.frontier_size" it.Reachability.frontier_size;
-        Obs.Trace_events.sample "reach.reached_size" it.Reachability.reached_size;
-        Obs.Progress.frame ~index:it.Reachability.index ~nodes:it.Reachability.frontier_size;
-        iterations := it :: !iterations;
-        Obs.Trace_events.end_args "reach.frame" "frontier_size" fsize;
-        match exact_answer checker [ img; bad ] with
-        | Cnf.Checker.Yes ->
-          Obs.Trace_events.instant_args "reach.falsified" "frame" k;
-          finish (falsified k)
-        | Cnf.Checker.Maybe ->
-          (* an undecided image∩bad test: neither this frame's hit nor a
-             later Proved can be trusted — stop with the anytime verdict *)
-          Obs.Trace_events.instant_args "reach.limit_stop" "frame" k;
-          finish (Reachability.Out_of_budget { reason = budget_reason limits; frames = k })
-        | Cnf.Checker.No -> (
-          match exact_answer checker [ img; Aig.not_ !reached ] with
-          | Cnf.Checker.No ->
-            (* forward certificate: the reached set itself is inductive,
-               contains the initial states, and avoids every bad state *)
-            let invariant =
-              if bad_clean && !aux_vars = [] then Some reached' else None
-            in
-            Obs.Trace_events.instant_args "reach.proved" "frame" k;
-            finish ?invariant Reachability.Proved
-          | Cnf.Checker.Maybe ->
-            (* an undecided fixpoint test can never be read as closure *)
-            Obs.Trace_events.instant_args "reach.limit_stop" "frame" k;
-            finish (Reachability.Out_of_budget { reason = budget_reason limits; frames = k })
-          | Cnf.Checker.Yes ->
-            frontier := Aig.and_ aig img (Aig.not_ !reached);
-            reached := reached';
-            loop (k + 1))
-      end
-    in
-    loop 1
-  end
+        Quantify.all ~config:env.Reachability.quant ~bank:env.Reachability.bank aig
+          env.Reachability.checker ~prng:env.Reachability.prng product ~vars:to_quantify);
+    rebase = (fun lit -> Aig.compose aig lit ~subst:unprime);
+    certificate = Fun.id;
+  }
+
+let run ?(config = Reachability.default) ?(limits = Util.Limits.unlimited) model =
+  Reachability.traverse ~config ~limits model image

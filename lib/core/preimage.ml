@@ -1,6 +1,5 @@
-type result = {
+type result = Quantify.result = {
   lit : Aig.lit;
-  substituted_size : int;
   eliminated : Aig.var list;
   kept : Aig.var list;
   reports : Quantify.var_report list;
@@ -25,10 +24,4 @@ let compute ?config ?bank m checker ~prng ~frontier ~extra_vars =
   Obs.observe obs_substituted_size (Aig.size aig inlined);
   let q = Quantify.all ?config ?bank aig checker ~prng inlined ~vars:to_quantify in
   Obs.Trace_events.end_args "preimage.compute" "kept" (List.length q.Quantify.kept);
-  {
-    lit = q.Quantify.lit;
-    substituted_size = Aig.size aig inlined;
-    eliminated = q.Quantify.eliminated;
-    kept = q.Quantify.kept;
-    reports = q.Quantify.reports;
-  }
+  q

@@ -6,9 +6,8 @@
     by {e substitution} (in-lining): [∃x. B(δ(s,x))]. Only the primary
     inputs [x] then need circuit-based quantification. *)
 
-type result = {
+type result = Quantify.result = {
   lit : Aig.lit; (* the (partially quantified) pre-image *)
-  substituted_size : int; (* size right after in-lining, before ∃x *)
   eliminated : Aig.var list;
   kept : Aig.var list; (* inputs whose elimination was aborted *)
   reports : Quantify.var_report list;

@@ -5,7 +5,7 @@ type verdict =
 
 (* Per-frame accounting. The iteration span is recorded from the step
    stopwatch already running (the loop is tail-recursive, so a [with_span]
-   wrapper would nest and double-count). Shared with [Forward]. *)
+   wrapper would nest and double-count). *)
 let obs_iterations = Obs.counter "reach.iterations"
 let obs_iter_span = Obs.span "reach.iteration"
 let obs_frontier_size = Obs.histogram "reach.frontier_size"
@@ -110,7 +110,23 @@ let find_cex model checker ~from_depth ~limit =
 let sum_naive reports =
   List.fold_left (fun acc r -> acc + r.Quantify.size_naive) 0 reports
 
-let run ?(config = default) ?(limits = Util.Limits.unlimited) model =
+type env = {
+  model : Netlist.Model.t;
+  checker : Cnf.Checker.t;
+  prng : Util.Prng.t;
+  bank : Sweep.Pattern_bank.t;
+  quant : Quantify.config;
+}
+
+type direction = {
+  initial : Aig.lit;
+  target : Aig.lit;
+  step : Aig.lit -> extra_vars:Aig.var list -> Quantify.result;
+  rebase : Aig.lit -> Aig.lit;
+  certificate : Aig.lit -> Aig.lit;
+}
+
+let traverse ~config ~limits model make_direction =
   let watch = Util.Stopwatch.start () in
   Obs.Progress.begin_run ();
   let limits = Obs.Limits.arm limits in
@@ -148,18 +164,20 @@ let run ?(config = default) ?(limits = Util.Limits.unlimited) model =
       aborted_vars = record_aborted_vars !aborted_acc;
     }
   in
-  (* iteration 0: the bad states themselves, with property inputs (if any)
+  (* the bad states over the state variables, property inputs (if any)
      quantified away *)
   let bad_raw = Aig.not_ model.Netlist.Model.property in
   let input_vars = Netlist.Model.input_vars model in
+  let model_vars = Netlist.Model.state_vars model @ input_vars in
   let bad_inputs = List.filter (fun v -> List.mem v input_vars) (Aig.support aig bad_raw) in
-  let b0_result =
+  let bad_result =
     Quantify.all ~config:config.quant ~bank aig checker ~prng bad_raw ~vars:bad_inputs
   in
-  let b0 = b0_result.Quantify.lit in
-  let b0_clean = b0_result.Quantify.kept = [] in
-  aborted_acc := b0_result.Quantify.kept;
-  peak := Aig.size aig b0;
+  let bad = bad_result.Quantify.lit in
+  let bad_clean = bad_result.Quantify.kept = [] in
+  aborted_acc := bad_result.Quantify.kept;
+  let dir = make_direction { model; checker; prng; bank; quant = config.quant } ~init ~bad in
+  peak := Aig.size aig dir.initial;
   let falsified hit_iteration =
     if config.make_trace || config.use_reached_dc then
       match
@@ -178,13 +196,13 @@ let run ?(config = default) ?(limits = Util.Limits.unlimited) model =
         | Some _ | None -> Falsified { depth = hit_iteration; trace = None })
     else Falsified { depth = hit_iteration; trace = None }
   in
-  match exact_answer checker [ init; b0 ] with
+  match exact_answer checker [ init; bad ] with
   | Cnf.Checker.Yes -> finish (falsified 0)
   | Cnf.Checker.Maybe ->
     finish (Out_of_budget { reason = budget_reason limits; frames = 0 })
   | Cnf.Checker.No -> begin
-    let reached = ref b0 in
-    let frontier = ref b0 in
+    let reached = ref dir.initial in
+    let frontier = ref dir.initial in
     let aux_vars = ref [] in
     let rec loop k =
       (* anytime behaviour: every frame starts with a governor poll (the
@@ -200,31 +218,29 @@ let run ?(config = default) ?(limits = Util.Limits.unlimited) model =
       else begin
         let step_watch = Util.Stopwatch.start () in
         Obs.Trace_events.begin_args "reach.frame" "frame" k;
-        let pre =
-          Preimage.compute ~config:config.quant ~bank model checker ~prng ~frontier:!frontier
-            ~extra_vars:!aux_vars
-        in
-        aborted_acc := pre.Preimage.kept @ !aborted_acc;
-        (* residual model inputs must not collide with the next frame's
-           inputs: rename them to private auxiliary variables *)
-        let residual_inputs = List.filter (fun v -> List.mem v input_vars) pre.Preimage.kept in
-        let renaming = List.map (fun v -> (v, Aig.fresh_var aig)) residual_inputs in
+        let q = dir.step !frontier ~extra_vars:!aux_vars in
+        aborted_acc := q.Quantify.kept @ !aborted_acc;
+        (* residual model variables must not collide with the next frame's
+           variables: rename them to private auxiliary variables *)
+        let residual = List.filter (fun v -> List.mem v model_vars) q.Quantify.kept in
+        let renaming = List.map (fun v -> (v, Aig.fresh_var aig)) residual in
         let new_frontier =
-          if renaming = [] then pre.Preimage.lit
+          if renaming = [] then q.Quantify.lit
           else
-            Aig.compose aig pre.Preimage.lit ~subst:(fun v ->
+            Aig.compose aig q.Quantify.lit ~subst:(fun v ->
                 Option.map (Aig.var aig) (List.assoc_opt v renaming))
         in
         aux_vars :=
           List.map snd renaming
-          @ List.filter (fun v -> not (List.mem v pre.Preimage.eliminated)) !aux_vars;
+          @ List.filter (fun v -> not (List.mem v q.Quantify.eliminated)) !aux_vars;
+        let new_frontier = dir.rebase new_frontier in
         let new_frontier =
           if config.sweep_frontier then
             fst (Synth.Opt.sweep_and_compact ~bank aig checker ~prng new_frontier)
           else new_frontier
         in
-        (* optional: states already known to reach a bad state are don't
-           cares for the new frontier *)
+        (* optional: states the traversal already holds are don't cares
+           for the new frontier *)
         let new_frontier =
           if config.use_reached_dc then
             fst
@@ -240,20 +256,20 @@ let run ?(config = default) ?(limits = Util.Limits.unlimited) model =
               index = k;
               frontier_size = fsize;
               reached_size;
-              eliminated_inputs = List.length pre.Preimage.eliminated;
-              kept_inputs = List.length pre.Preimage.kept;
-              naive_size = sum_naive pre.Preimage.reports;
+              eliminated_inputs = List.length q.Quantify.eliminated;
+              kept_inputs = List.length q.Quantify.kept;
+              naive_size = sum_naive q.Quantify.reports;
               seconds = Util.Stopwatch.elapsed step_watch;
             };
           Obs.Trace_events.end_args "reach.frame" "frontier_size" fsize
         in
-        match exact_answer checker [ init; new_frontier ] with
+        match exact_answer checker [ dir.target; new_frontier ] with
         | Cnf.Checker.Yes ->
           record ~reached_size:(Aig.size aig !reached);
           Obs.Trace_events.instant_args "reach.falsified" "frame" k;
           finish (falsified k)
         | Cnf.Checker.Maybe ->
-          (* the intersection-with-init test is the falsification
+          (* the frontier-meets-target test is the falsification
              certificate: undecided means neither this frame's hit nor any
              later Proved can be trusted — stop with the anytime verdict *)
           record ~reached_size:(Aig.size aig !reached);
@@ -265,10 +281,10 @@ let run ?(config = default) ?(limits = Util.Limits.unlimited) model =
           record ~reached_size:(Aig.size aig reached');
           match no_new with
           | Cnf.Checker.No ->
-            (* without residual variables the complement of the reached
-               set is an inductive invariant: a checkable certificate *)
+            (* without residual variables the fix-point yields an
+               inductive invariant: a checkable certificate *)
             let invariant =
-              if b0_clean && !aux_vars = [] then Some (Aig.not_ reached') else None
+              if bad_clean && !aux_vars = [] then Some (dir.certificate reached') else None
             in
             Obs.Trace_events.instant_args "reach.proved" "frame" k;
             finish ?invariant Proved
@@ -278,7 +294,7 @@ let run ?(config = default) ?(limits = Util.Limits.unlimited) model =
             finish (Out_of_budget { reason = budget_reason limits; frames = k })
           | Cnf.Checker.Yes ->
             (* onion ring: keep only the genuinely new states in the next
-               frontier to stop pre-images from re-deriving old ones *)
+               frontier so a step never re-derives old ones *)
             frontier := Aig.and_ aig new_frontier (Aig.not_ !reached);
             reached := reached';
             loop (k + 1))
@@ -286,3 +302,21 @@ let run ?(config = default) ?(limits = Util.Limits.unlimited) model =
     in
     loop 1
   end
+
+(* Backward: start from the bad states, step by pre-image (in-lining plus
+   input quantification), stop on meeting the initial states; the
+   complement of the reached set is the invariant. *)
+let backward env ~init ~bad =
+  {
+    initial = bad;
+    target = init;
+    step =
+      (fun frontier ~extra_vars ->
+        Preimage.compute ~config:env.quant ~bank:env.bank env.model env.checker ~prng:env.prng
+          ~frontier ~extra_vars);
+    rebase = Fun.id;
+    certificate = Aig.not_;
+  }
+
+let run ?(config = default) ?(limits = Util.Limits.unlimited) model =
+  traverse ~config ~limits model backward

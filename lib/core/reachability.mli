@@ -48,11 +48,6 @@ type result = {
      mirrored into the run report as the [quantify.aborted_vars] meta. *)
 }
 
-(** Sort/dedup an aborted-variable accumulation, publish it as the
-    [quantify.aborted_vars] report meta when nonempty, and return it.
-    Shared by both traversal directions. *)
-val record_aborted_vars : Aig.var list -> Aig.var list
-
 type config = {
   quant : Quantify.config;
   max_iterations : int;
@@ -84,3 +79,42 @@ val pp_result : Format.formatter -> result -> unit
     naming the tripped resource unless the run already holds a definite
     answer. *)
 val run : ?config:config -> ?limits:Util.Limits.t -> Netlist.Model.t -> result
+
+(** {1 The traversal skeleton, shared by both directions} *)
+
+(** What a direction's step may use: the run's shared SAT checker,
+    random stream and pattern bank. *)
+type env = {
+  model : Netlist.Model.t;
+  checker : Cnf.Checker.t;
+  prng : Util.Prng.t;
+  bank : Sweep.Pattern_bank.t;
+  quant : Quantify.config;
+}
+
+type direction = {
+  initial : Aig.lit;  (** frame-0 frontier and reached set *)
+  target : Aig.lit;  (** a frontier meeting it is a counterexample *)
+  step : Aig.lit -> extra_vars:Aig.var list -> Quantify.result;
+      (** one frame: the frontier's successor set, before renaming, with
+          [extra_vars] (residuals of earlier frames) also quantified *)
+  rebase : Aig.lit -> Aig.lit;
+      (** applied after residual renaming: map the step's result back
+          onto the current-state variables *)
+  certificate : Aig.lit -> Aig.lit;
+      (** the inductive invariant for a fix-point reached set *)
+}
+
+(** [traverse ~config ~limits m make_direction] quantifies the property
+    inputs out of the bad states, builds the direction from them and the
+    initial states, and runs the frame loop: step, then SAT-test
+    frontier ∧ target (a counterexample) and frontier ∧ ¬reached (a
+    fix-point when unsatisfiable). Renaming, the depth scan, the
+    budgeted-[Maybe] rules and the telemetry are the same for every
+    direction. *)
+val traverse :
+  config:config ->
+  limits:Util.Limits.t ->
+  Netlist.Model.t ->
+  (env -> init:Aig.lit -> bad:Aig.lit -> direction) ->
+  result

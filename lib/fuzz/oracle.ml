@@ -57,22 +57,9 @@ let limits_of_budget b =
     Util.Limits.create ?timeout:b.timeout ?max_conflicts:b.max_conflicts
       ?max_aig_nodes:b.max_aig_nodes ?max_bdd_nodes:b.max_bdd_nodes ()
 
-type config = {
-  budget : budget;
-  bmc_depth : int;
-  induction_k : int;
-  check_traces : bool;
-  quantify_backend : Cbq.Quantify.backend;
-}
+type config = { budget : budget; suite : Baselines.Suite.config }
 
-let default_config =
-  {
-    budget = no_budget;
-    bmc_depth = 30;
-    induction_k = 25;
-    check_traces = true;
-    quantify_backend = Cbq.Quantify.default.Cbq.Quantify.backend;
-  }
+let default_config = { budget = no_budget; suite = Baselines.Suite.default_config }
 
 (* ---------- differential ---------- *)
 
@@ -90,19 +77,11 @@ let compatible a b =
 let clone = Par.Clone.model
 
 (* the engine table itself lives in Baselines.Suite, shared with the
-   portfolio racer; the oracle only maps its config onto the suite's *)
-let suite_config config =
-  {
-    Baselines.Suite.bmc_depth = config.bmc_depth;
-    induction_k = config.induction_k;
-    make_trace = config.check_traces;
-    quantify_backend = config.quantify_backend;
-  }
-
+   portfolio racer *)
 let engines config =
   List.map
     (fun (e : Baselines.Suite.engine) -> (e.name, e.run))
-    (Baselines.Suite.engines ~config:(suite_config config) ())
+    (Baselines.Suite.engines ~config:config.suite ())
 
 let engine_names = Baselines.Suite.names
 
@@ -120,7 +99,7 @@ let run_engines_internal config m =
       | verdict, trace ->
         let trace_problem =
           match (verdict, trace) with
-          | Baselines.Verdict.Falsified depth, Some t when config.check_traces ->
+          | Baselines.Verdict.Falsified depth, Some t ->
             if not (Cbq.Trace.check instance t) then Some "trace does not replay on the model"
             else if Cbq.Trace.length t <> depth then
               Some

@@ -64,13 +64,10 @@ val limits_of_budget : budget -> Util.Limits.t
 
 type config = {
   budget : budget;
-  bmc_depth : int;  (** BMC search bound; exhaustion is [Undecided] *)
-  induction_k : int;
-  check_traces : bool;
-  quantify_backend : Cbq.Quantify.backend;
-      (** backend used by the CBQ engines in the {e differential} layer;
-          the algebraic layer always checks all three backends against
-          the Shannon oracle regardless *)
+  suite : Baselines.Suite.config;
+      (** the engines of the {e differential} layer, whose returned
+          counterexamples are replayed; the algebraic layer always checks
+          all three quantification backends against the Shannon oracle *)
 }
 
 val default_config : config

@@ -103,11 +103,6 @@ let install_listener () =
 
 (* ---------- per-job reports ---------- *)
 
-let verdict_string = function
-  | Baselines.Verdict.Proved -> "proved"
-  | Baselines.Verdict.Falsified d -> Printf.sprintf "falsified:%d" d
-  | Baselines.Verdict.Undecided _ -> "undecided"
-
 (* A self-contained schema-v2 report (the daemon cannot use the global
    registry snapshot: concurrent jobs would bleed into each other's
    counters). [serve.job.frames] is deterministic for a given model and
@@ -118,7 +113,7 @@ let job_report job ~verdict ~seconds ~exhausted =
       ("tool", Obs.Json.String "cbq-mc-serve");
       ("model", Obs.Json.String job.model_name);
       ("engine", Obs.Json.String job.engine.Baselines.Suite.name);
-      ("verdict", Obs.Json.String (verdict_string verdict));
+      ("verdict", Obs.Json.String (Baselines.Verdict.to_meta verdict));
       ("seconds", Obs.Json.String (Printf.sprintf "%.6f" seconds));
       ("job", Obs.Json.String (string_of_int job.id));
     ]
@@ -248,7 +243,11 @@ let create ?(jobs = Par.Pool.default_jobs ()) ?(ceiling = Protocol.no_budget) ?s
       store;
       store_mutex = Mutex.create ();
       ceiling;
-      config = { Baselines.Suite.default_config with make_trace = false };
+      config =
+        {
+          Baselines.Suite.default_config with
+          cbq = { Cbq.Reachability.default with make_trace = false };
+        };
       workers = [];
     }
   in
@@ -279,7 +278,9 @@ let submit t ~tag:_ ~model_name ~aig ~engine ~quantify_backend ~budget ~emit =
     let config =
       match backend with
       | None -> t.config
-      | Some quantify_backend -> { t.config with Baselines.Suite.quantify_backend }
+      | Some backend ->
+        let cbq = t.config.Baselines.Suite.cbq in
+        { t.config with cbq = { cbq with quant = { cbq.quant with backend } } }
     in
     match Baselines.Suite.find ~config engine with
     | None ->

@@ -363,6 +363,83 @@ let test_reachability_iteration_limit () =
   | Cbq.Reachability.Out_of_budget _ -> ()
   | v -> Alcotest.fail (Format.asprintf "expected budget exhaustion, got %a" Cbq.Reachability.pp_verdict v)
 
+(* ---------- golden traversals ---------- *)
+
+(* Both directions share one frame loop; these pins hold each direction
+   to the verdicts and per-frame profiles (frontier size, eliminated and
+   kept inputs) it produced with its own loop, including the reached-set
+   don't-care and a conflict governor tight enough to degrade the run. *)
+let golden_traversals =
+  [
+    ("bwd", "counter", Some 3, `Plain, "FALSIFIED (depth 7)",
+     [ (8, 1, 0); (12, 1, 0); (15, 1, 0); (13, 1, 0); (16, 1, 0); (12, 1, 0); (16, 1, 0) ]);
+    ("bwd", "fifo-buggy", Some 2, `Plain, "FALSIFIED (depth 5)",
+     [ (0, 2, 0); (7, 2, 0); (17, 2, 0); (20, 2, 0); (2, 2, 0) ]);
+    ("bwd", "counter-even", Some 4, `Plain, "PROVED", [ (0, 1, 0) ]);
+    ("bwd", "gray", Some 3, `Plain, "PROVED", [ (0, 1, 0) ]);
+    ("bwd", "shift-pattern", Some 4, `Reached_dc, "FALSIFIED (depth 4)",
+     [ (2, 1, 0); (1, 1, 0); (0, 1, 0); (0, 1, 0) ]);
+    ("bwd", "arbiter", Some 3, `Reached_dc, "PROVED", [ (4, 3, 0); (0, 3, 0) ]);
+    ("bwd", "counter", Some 4, `Conflicts 3, "UNDECIDED (conflict pool after 8 frames)",
+     [ (12, 1, 0); (19, 1, 0); (25, 1, 0); (29, 1, 0); (33, 1, 0); (37, 1, 0); (41, 1, 0);
+       (53, 1, 0) ]);
+    ("bwd", "twin-shift", Some 4, `Conflicts 10, "PROVED", [ (11, 0, 0) ]);
+    ("fwd", "counter", Some 3, `Plain, "FALSIFIED (depth 7)",
+     [ (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0) ]);
+    ("fwd", "fifo-buggy", Some 2, `Plain, "FALSIFIED (depth 5)",
+     [ (5, 5, 0); (8, 5, 0); (8, 5, 0); (8, 5, 0); (8, 5, 0) ]);
+    ("fwd", "counter-even", Some 4, `Plain, "PROVED",
+     [ (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0) ]);
+    ("fwd", "gray", Some 3, `Plain, "PROVED",
+     [ (11, 7, 0); (11, 7, 0); (20, 7, 0); (21, 7, 0); (16, 7, 0); (21, 7, 0); (20, 7, 0);
+       (21, 7, 0); (16, 7, 0) ]);
+    ("fwd", "shift-pattern", Some 4, `Reached_dc, "FALSIFIED (depth 4)",
+     [ (3, 5, 0); (7, 5, 0); (0, 5, 0); (0, 5, 0) ]);
+    ("fwd", "arbiter", Some 3, `Reached_dc, "PROVED",
+     [ (9, 9, 0); (8, 9, 0); (4, 9, 0); (0, 9, 0) ]);
+    (* the target test asks bad∧image (the backward order); with that
+       assumption order the 3-conflict pool lasts to a decision *)
+    ("fwd", "counter", Some 4, `Conflicts 3, "FALSIFIED (depth 15)",
+     List.init 15 (fun _ -> (7, 5, 0)));
+    ("fwd", "twin-shift", Some 4, `Conflicts 10, "UNDECIDED (conflict pool after 3 frames)",
+     [ (15, 9, 0); (15, 9, 0); (31, 9, 0) ]);
+  ]
+
+let test_golden_traversals () =
+  List.iter
+    (fun (dir, name, param, mode, verdict, frames) ->
+      let model, _ = Circuits.Registry.build name param in
+      let config =
+        match mode with
+        | `Reached_dc -> { Cbq.Reachability.default with use_reached_dc = true }
+        | `Plain | `Conflicts _ -> Cbq.Reachability.default
+      in
+      let limits =
+        match mode with
+        | `Conflicts n -> Util.Limits.create ~max_conflicts:n ()
+        | `Plain | `Reached_dc -> Util.Limits.unlimited
+      in
+      let run = if dir = "fwd" then Cbq.Forward.run else Cbq.Reachability.run in
+      let r = run ~config ~limits model in
+      let label = Printf.sprintf "%s %s" dir name in
+      check Alcotest.string (label ^ " verdict") verdict
+        (Format.asprintf "%a" Cbq.Reachability.pp_verdict r.Cbq.Reachability.verdict);
+      check
+        Alcotest.(list (triple int int int))
+        (label ^ " frames") frames
+        (List.map
+           (fun it ->
+             Cbq.Reachability.(it.frontier_size, it.eliminated_inputs, it.kept_inputs))
+           r.Cbq.Reachability.iterations);
+      match r.Cbq.Reachability.verdict with
+      | Cbq.Reachability.Proved -> (
+        match r.Cbq.Reachability.invariant with
+        | Some invariant ->
+          check bool (label ^ " certificate") true (Cbq.Certify.check model ~invariant = Ok ())
+        | None -> Alcotest.fail (label ^ ": proved without a certificate"))
+      | Cbq.Reachability.Falsified _ | Cbq.Reachability.Out_of_budget _ -> ())
+    golden_traversals
+
 let () =
   Alcotest.run "cbq"
     [
@@ -398,5 +475,7 @@ let () =
           Alcotest.test_case "naive quantification variant" `Quick
             test_reachability_naive_variant;
           Alcotest.test_case "iteration limit" `Quick test_reachability_iteration_limit;
+          Alcotest.test_case "golden traversals, both directions" `Quick
+            test_golden_traversals;
         ] );
     ]

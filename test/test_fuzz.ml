@@ -127,7 +127,11 @@ let test_oracle_backend_choice_agrees () =
      backend; decided verdicts must stay compatible with the baselines *)
   List.iter
     (fun backend ->
-      let config = { Fuzz.Oracle.default_config with Fuzz.Oracle.quantify_backend = backend } in
+      let quant = { Cbq.Quantify.default with backend } in
+      let suite =
+        { Baselines.Suite.default_config with cbq = { Cbq.Reachability.default with quant } }
+      in
+      let config = { Fuzz.Oracle.default_config with Fuzz.Oracle.suite } in
       for seed = 11 to 15 do
         let m = Fuzz.Gen.model ~seed () in
         match Fuzz.Oracle.check ~config m with
