@@ -119,14 +119,7 @@ let run_throughput () =
           | Starved ->
             (starved, "bmc", { Serve.Protocol.no_budget with max_conflicts = Some 1 })
         in
-        {
-          Serve.Client.tag = Printf.sprintf "j%d" i;
-          model_name;
-          aig;
-          engine;
-          budget;
-          quantify_backend = None;
-        })
+        { Serve.Client.tag = Printf.sprintf "j%d" i; model_name; aig; engine; budget })
   in
   let client = Serve.Client.connect (Serve.Server.address server) in
   let outcomes, dt = Util.Stopwatch.time (fun () -> Serve.Client.run_batch client specs) in
@@ -185,15 +178,8 @@ let run_cancel () =
   (* submit via raw sends so cancels can race the runs *)
   for i = 1 to k do
     Serve.Client.send client
-      (Serve.Protocol.Submit
-         {
-           tag = Printf.sprintf "c%d" i;
-           model_name;
-           aig;
-           engine = "cbq-bwd";
-           budget = Serve.Protocol.no_budget;
-           quantify_backend = None;
-         })
+      (Serve.Protocol.submit ~tag:(Printf.sprintf "c%d" i) ~model_name ~aig ~engine:"cbq-bwd"
+         ~budget:Serve.Protocol.no_budget)
   done;
   let ids = ref [] in
   let started = ref 0 in

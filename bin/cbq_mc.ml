@@ -114,22 +114,6 @@ let sweep_jobs_arg =
           "domains for the sweeper's SAT-merge stage inside the cbq engines (docs/PARALLEL.md); \
            1 keeps the stage fully sequential")
 
-let quantify_backend_enum =
-  List.map
-    (fun name -> (name, Option.get (Cbq.Quantify.backend_of_string name)))
-    Cbq.Quantify.backend_names
-
-let quantify_backend_arg =
-  Arg.(
-    value
-    & opt (enum quantify_backend_enum) Cbq.Quantify.default.Cbq.Quantify.backend
-    & info [ "quantify-backend" ] ~docv:"BACKEND"
-        ~doc:
-          "quantifier-elimination backend for the cbq engines: $(b,circuit) (cofactor \
-           disjunction + circuit optimization), $(b,pqe) (CNF-level partial quantifier \
-           elimination by redundancy proving), or $(b,auto) (per-variable selector with \
-           cross-backend fallback, docs/ALGORITHMS.md); the non-CBQ engines ignore it")
-
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"per-iteration detail")
 let trace_arg = Arg.(value & flag & info [ "t"; "trace" ] ~doc:"print the counterexample trace")
 
@@ -230,12 +214,10 @@ let store_opt_arg =
           "append the run report to the store at $(docv) (see $(b,cbq-mc report) for querying \
            stored runs)")
 
-let emit_stats ~stats ~stats_json ~store ~model ~engine ~quantify_backend ~watch ~limits
-    verdict =
+let emit_stats ~stats ~stats_json ~store ~model ~engine ~watch ~limits verdict =
   Obs.meta "tool" "cbq-mc";
   Obs.meta "model" (Netlist.Model.name model);
   Obs.meta "engine" engine;
-  Obs.meta "quantify_backend" (Cbq.Quantify.backend_name quantify_backend);
   Obs.meta "verdict" (Baselines.Verdict.to_meta verdict);
   (match Util.Limits.exhausted limits with
   | Some r -> Obs.meta "exhausted" (Util.Limits.resource_name r)
@@ -260,9 +242,9 @@ let emit_stats ~stats ~stats_json ~store ~model ~engine ~quantify_backend ~watch
 
 let run_cmd =
   let doc = "verify a circuit's safety property" in
-  let run circuit param aag engine jobs sweep_jobs quantify_backend verbose trace seq_sweep coi
-      minimize stats stats_json trace_json progress sample_interval store timeout max_conflicts
-      max_aig_nodes max_bdd_nodes =
+  let run circuit param aag engine jobs sweep_jobs verbose trace seq_sweep coi minimize stats
+      stats_json trace_json progress sample_interval store timeout max_conflicts max_aig_nodes
+      max_bdd_nodes =
     (* --progress reads the sweep merge counters, --sample-interval and
        --store record them, so all three need the registry live even
        without --stats *)
@@ -323,7 +305,7 @@ let run_cmd =
           in
           let q = Cbq.Quantify.default in
           let sweep = { q.Cbq.Quantify.sweep with sat_jobs = sweep_jobs } in
-          let quant = { q with backend = quantify_backend; sweep } in
+          let quant = { q with sweep } in
           let cbq = { Cbq.Reachability.default with make_trace = trace; quant } in
           (* the CLI searches deeper with BMC and induction than the suite's defaults *)
           let config = { Baselines.Suite.bmc_depth = 100; induction_k = 50; cbq } in
@@ -341,8 +323,7 @@ let run_cmd =
         (Util.Limits.elapsed limits)
     | None -> ());
     if want_stats then
-      emit_stats ~stats ~stats_json ~store ~model ~engine ~quantify_backend ~watch ~limits
-        verdict;
+      emit_stats ~stats ~stats_json ~store ~model ~engine ~watch ~limits verdict;
     (match trace_json with
     | Some path ->
       Obs.Trace_events.set_enabled false;
@@ -369,7 +350,7 @@ let run_cmd =
   ( Cmd.info "run" ~doc,
     Term.(
       const run $ circuit_arg $ param_arg $ aag_arg $ engine_arg $ jobs_arg $ sweep_jobs_arg
-      $ quantify_backend_arg $ verbose_arg $ trace_arg $ seq_sweep_arg $ coi_arg $ minimize_arg
+      $ verbose_arg $ trace_arg $ seq_sweep_arg $ coi_arg $ minimize_arg
       $ stats_arg $ stats_json_arg $ trace_json_arg $ progress_arg $ sample_interval_arg
       $ store_opt_arg $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg
       $ max_bdd_nodes_arg) )
@@ -403,7 +384,7 @@ let quantify_cmd =
   let count_arg =
     Arg.(value & opt int 4 & info [ "k" ] ~docv:"K" ~doc:"number of variables to quantify")
   in
-  let run cone n k backend =
+  let run cone n k =
     match List.assoc_opt cone Circuits.Comb.catalogue with
     | None -> Format.printf "unknown cone %S@." cone
     | Some make ->
@@ -414,18 +395,16 @@ let quantify_cmd =
       let vars =
         List.filteri (fun i _ -> i < k) c.Circuits.Comb.vars
       in
-      Format.printf "cone %s: %d AND nodes, quantifying %d of %d variables (%s backend)@."
+      Format.printf "cone %s: %d AND nodes, quantifying %d of %d variables@."
         c.Circuits.Comb.name
         (Aig.size aig c.Circuits.Comb.root)
         (List.length vars)
-        (List.length c.Circuits.Comb.vars)
-        (Cbq.Quantify.backend_name backend);
+        (List.length c.Circuits.Comb.vars);
       let naive =
         Cbq.Quantify.all ~config:Cbq.Quantify.naive_config aig checker ~prng
           c.Circuits.Comb.root ~vars
       in
-      let config = { Cbq.Quantify.default with backend } in
-      let full = Cbq.Quantify.all ~config aig checker ~prng c.Circuits.Comb.root ~vars in
+      let full = Cbq.Quantify.all aig checker ~prng c.Circuits.Comb.root ~vars in
       Format.printf "naive Shannon: %d nodes; merged+optimized: %d nodes@."
         (Aig.size aig naive.Cbq.Quantify.lit)
         (Aig.size aig full.Cbq.Quantify.lit);
@@ -433,8 +412,7 @@ let quantify_cmd =
         (fun r -> Format.printf "  %a@." Cbq.Quantify.pp_var_report r)
         full.Cbq.Quantify.reports
   in
-  Cmd.v (Cmd.info "quantify" ~doc)
-    Term.(const run $ cone_arg $ size_arg $ count_arg $ quantify_backend_arg)
+  Cmd.v (Cmd.info "quantify" ~doc) Term.(const run $ cone_arg $ size_arg $ count_arg)
 
 (* ---------- reduce ---------- *)
 
@@ -526,15 +504,16 @@ let fuzz_cmd =
     Arg.(value & opt float Fuzz.Gen.default.Fuzz.Gen.shared_subcones
          & info [ "shared-subcones" ] ~docv:"P"
              ~doc:
-               "probability of a mux-of-xor next-state cone over shared deep subcones (a \
-                PQE-trigger shape); 0 leaves the generator streams untouched")
+               "probability of a mux-of-xor next-state cone over shared deep subcones, whose \
+                cofactor disjunction only the merge phase can fold; 0 leaves the generator \
+                streams untouched")
   in
   let wide_support_arg =
     Arg.(value & opt float Fuzz.Gen.default.Fuzz.Gen.wide_support
          & info [ "wide-support" ] ~docv:"P"
              ~doc:
-               "probability of a next-state cone ranging over the whole variable pool (a \
-                PQE support-cap trigger); 0 leaves the generator streams untouched")
+               "probability of a next-state cone ranging over the whole variable pool (maximal \
+                support width); 0 leaves the generator streams untouched")
   in
   let corpus_arg =
     Arg.(value & opt (some path_conv) None
@@ -560,8 +539,8 @@ let fuzz_cmd =
                 bug) and confirm the oracles catch it")
   in
   let run seed count max_latches max_inputs cone_depth shared_subcones wide_support corpus
-      no_shrink jobs inject_fault quantify_backend stats stats_json progress timeout
-      max_conflicts max_aig_nodes max_bdd_nodes =
+      no_shrink jobs inject_fault stats stats_json progress timeout max_conflicts max_aig_nodes
+      max_bdd_nodes =
     if stats || stats_json <> None || progress then begin
       Obs.reset ();
       Obs.set_enabled true
@@ -583,12 +562,10 @@ let fuzz_cmd =
     | Error msg ->
       Format.eprintf "fuzz: invalid knobs: %s@." msg;
       exit 2);
-    let quant = { Cbq.Quantify.default with backend = quantify_backend } in
     let config =
       {
-        Fuzz.Oracle.budget = { Fuzz.Oracle.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes };
-        suite =
-          { Baselines.Suite.default_config with cbq = { Cbq.Reachability.default with quant } };
+        Fuzz.Oracle.default_config with
+        budget = { Fuzz.Oracle.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes };
       }
     in
     let watch = Util.Stopwatch.start () in
@@ -628,7 +605,6 @@ let fuzz_cmd =
       Obs.meta "tool" "cbq-mc-fuzz";
       Obs.meta "seed" (string_of_int seed);
       Obs.meta "failures" (string_of_int n_failures);
-      Obs.meta "quantify_backend" (Cbq.Quantify.backend_name quantify_backend);
       Obs.write_report path;
       Format.printf "stats: wrote %s@." path
     | None -> ());
@@ -642,7 +618,7 @@ let fuzz_cmd =
     Term.(
       const run $ seed_arg $ count_arg $ max_latches_arg $ max_inputs_arg $ cone_depth_arg
       $ shared_subcones_arg $ wide_support_arg $ corpus_arg $ no_shrink_arg $ fuzz_jobs_arg
-      $ inject_fault_arg $ quantify_backend_arg $ stats_arg $ stats_json_arg $ progress_arg
+      $ inject_fault_arg $ stats_arg $ stats_json_arg $ progress_arg
       $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
 
 (* ---------- sat ---------- *)
@@ -913,20 +889,6 @@ let serve_engine_arg =
 let budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes =
   { Serve.Protocol.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes }
 
-(* kept as a plain string option: the server validates the name and the
-   [Rejected] reason reports the valid set, so a stale client cannot get
-   out of sync with a newer server's backend list *)
-let serve_quantify_backend_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "quantify-backend" ] ~docv:"BACKEND"
-        ~doc:
-          (Printf.sprintf
-             "per-job quantifier-elimination backend for the CBQ engines (%s); omitted means \
-              the server's default"
-             (String.concat " | " Cbq.Quantify.backend_names)))
-
 let serve_cmd =
   let doc = "run the persistent model-checking job daemon" in
   let man =
@@ -1003,8 +965,8 @@ let print_outcome name = function
 
 let submit_cmd =
   let doc = "submit one job to a running daemon and wait for the verdict" in
-  let run connect circuit param aag engine quantify_backend progress timeout max_conflicts
-      max_aig_nodes max_bdd_nodes =
+  let run connect circuit param aag engine progress timeout max_conflicts max_aig_nodes
+      max_bdd_nodes =
     let model, _status = load_model circuit param aag in
     let spec =
       {
@@ -1013,7 +975,6 @@ let submit_cmd =
         aig = Netlist.Aiger.write model;
         engine;
         budget = budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes;
-        quantify_backend;
       }
     in
     let client = connect_client connect in
@@ -1036,8 +997,7 @@ let submit_cmd =
   Cmd.v (Cmd.info "submit" ~doc)
     Term.(
       const run $ connect_arg $ circuit_arg $ param_arg $ aag_arg $ serve_engine_arg
-      $ serve_quantify_backend_arg $ progress_arg $ timeout_arg $ max_conflicts_arg
-      $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+      $ progress_arg $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
 
 let batch_cmd =
   let doc = "submit every AIGER file in a directory to a running daemon" in
@@ -1047,8 +1007,7 @@ let batch_cmd =
       & pos 0 (some dir) None
       & info [] ~docv:"DIR" ~doc:"directory of .aag/.aig model files")
   in
-  let run connect dir engine quantify_backend timeout max_conflicts max_aig_nodes
-      max_bdd_nodes =
+  let run connect dir engine timeout max_conflicts max_aig_nodes max_bdd_nodes =
     let files =
       Sys.readdir dir |> Array.to_list
       |> List.filter (fun f -> Filename.check_suffix f ".aag" || Filename.check_suffix f ".aig")
@@ -1069,7 +1028,6 @@ let batch_cmd =
             aig = Netlist.Aiger.write model;
             engine;
             budget;
-            quantify_backend;
           })
         files
     in
@@ -1083,8 +1041,8 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const run $ connect_arg $ dir_arg $ serve_engine_arg $ serve_quantify_backend_arg
-      $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+      const run $ connect_arg $ dir_arg $ serve_engine_arg $ timeout_arg $ max_conflicts_arg
+      $ max_aig_nodes_arg $ max_bdd_nodes_arg)
 
 let ctl_cmd =
   let doc = "control a running daemon: ping, stats or shutdown" in

@@ -18,7 +18,7 @@ type config = {
   induction_k : int;  (** k-induction ceiling *)
   cbq : Cbq.Reachability.config;
       (** configuration of both CBQ traversals (trace rebuilding,
-          quantification backend, sweeping); the other engines ignore it *)
+          quantification, sweeping); the other engines ignore it *)
 }
 
 val default_config : config

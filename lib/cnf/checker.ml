@@ -64,14 +64,6 @@ let satisfiable t lits =
 let neg_answer = function Yes -> No | No -> Yes | Maybe -> Maybe
 let valid t l = neg_answer (satisfiable t [ Aig.not_ l ])
 
-(* Does the conjunction [given] imply the disjunction [clause]?  The
-   workhorse of clause-redundancy proving: a clause is redundant w.r.t. a
-   set exactly when the set implies it.  Encoded as one incremental
-   query — given ∧ ¬l1 ∧ ... ∧ ¬lk unsatisfiable. *)
-let implies_clause t ~given clause =
-  if List.exists (fun l -> l = Aig.true_ || List.mem l given) clause then Yes
-  else neg_answer (satisfiable t (given @ List.map Aig.not_ clause))
-
 let both a b =
   match (a, b) with
   | No, No -> Yes
@@ -109,4 +101,3 @@ let assigned_model t vars =
 let queries t = t.queries
 let budget_cutoffs t = t.cutoffs
 let solver_stats t = Sat.Solver.stats (Tseitin.solver t.ts)
-let last_query_conflicts t = Sat.Solver.last_conflicts (Tseitin.solver t.ts)

@@ -52,15 +52,6 @@ val equal_under : t -> care:Aig.lit -> Aig.lit -> Aig.lit -> answer
 (** [implies t a b] — does [a] entail [b]? *)
 val implies : t -> Aig.lit -> Aig.lit -> answer
 
-(** [implies_clause t ~given clause] — does the {e conjunction} of
-    [given] imply the {e disjunction} [clause]? This is the
-    clause-redundancy query of partial quantifier elimination: [clause]
-    is redundant with respect to a clause set exactly when the set
-    implies it. One incremental query: [given ∧ ¬l1 ∧ … ∧ ¬lk]
-    unsatisfiable. Short-circuits [Yes] when the clause contains the
-    constant true or one of the [given] literals. *)
-val implies_clause : t -> given:Aig.lit list -> Aig.lit list -> answer
-
 (** Witness access after a [Yes] from {!satisfiable} (or a [No] from the
     universal queries, whose refutation is a satisfying counterexample):
     [None] when the variable has no encoded leaf or was left unassigned by
@@ -86,7 +77,3 @@ val queries : t -> int
 
 val budget_cutoffs : t -> int
 val solver_stats : t -> Sat.Solver.stats
-
-(** Conflicts consumed by the most recent query — a per-query effort
-    signal read by the quantification backend selector. *)
-val last_query_conflicts : t -> int

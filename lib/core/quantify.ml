@@ -10,22 +10,6 @@ let obs_cofactor_size = Obs.histogram "quantify.cofactor_size"
 let obs_result_size = Obs.histogram "quantify.result_size"
 let obs_saved = Obs.counter "quantify.nodes_saved_vs_naive"
 let obs_limit_fallbacks = Obs.counter "limits.quantify_fallbacks"
-let obs_backend_circuit = Obs.counter "quantify.backend.circuit"
-let obs_backend_pqe = Obs.counter "quantify.backend.pqe"
-let obs_backend_fallbacks = Obs.counter "quantify.backend.auto_fallbacks"
-let obs_backend_growth = Obs.histogram "quantify.backend.predicted_growth"
-
-type backend = Circuit | Pqe | Auto
-
-let backend_name = function Circuit -> "circuit" | Pqe -> "pqe" | Auto -> "auto"
-
-let backend_of_string = function
-  | "circuit" -> Some Circuit
-  | "pqe" -> Some Pqe
-  | "auto" -> Some Auto
-  | _ -> None
-
-let backend_names = [ "circuit"; "pqe"; "auto" ]
 
 type config = {
   sweep : Sweep.Sweeper.config;
@@ -35,8 +19,6 @@ type config = {
   growth_limit : float;
   growth_slack : int;
   greedy_order : bool;
-  backend : backend;
-  pqe : Pqe.config;
 }
 
 let default =
@@ -48,8 +30,6 @@ let default =
     growth_limit = 2.0;
     growth_slack = 32;
     greedy_order = true;
-    backend = Circuit;
-    pqe = Pqe.default;
   }
 
 let naive_config =
@@ -61,27 +41,23 @@ let naive_config =
     growth_limit = infinity;
     growth_slack = max_int;
     greedy_order = false;
-    backend = Circuit;
-    pqe = Pqe.default;
   }
 
 type var_report = {
   var : Aig.var;
-  backend : backend;
   size_before : int;
   size_cof0 : int;
   size_cof1 : int;
   size_naive : int;
   sweep_report : Sweep.Sweeper.report option;
   dc_report : Synth.Dontcare.report option;
-  pqe_report : Pqe.report option;
   size_after : int;
   aborted : bool;
 }
 
 let pp_var_report ppf r =
-  Format.fprintf ppf "x%d [%s]: |F|=%d |F0|=%d |F1|=%d naive=%d final=%d%s" r.var
-    (backend_name r.backend) r.size_before r.size_cof0 r.size_cof1 r.size_naive r.size_after
+  Format.fprintf ppf "x%d: |F|=%d |F0|=%d |F1|=%d naive=%d final=%d%s" r.var r.size_before
+    r.size_cof0 r.size_cof1 r.size_naive r.size_after
     (if r.aborted then " ABORTED" else "")
 
 (* [infinity *. 0.] is NaN, so the unlimited case must short-circuit *)
@@ -89,142 +65,6 @@ let within_budget config ~before ~after =
   config.growth_limit = infinity
   || float_of_int after
      <= (config.growth_limit *. float_of_int before) +. float_of_int config.growth_slack
-
-(* Circuit cofactoring core — the paper's algorithm. Assumes [l]
-   depends on [v]. Returns the raw outcome; the [one] wrapper does the
-   eliminate/abort accounting shared with the other backend. *)
-let circuit_core ~config ?bank aig checker ~prng ~size_before l v =
-  let f0 = Aig.cofactor aig l ~v ~phase:false in
-  let f1 = Aig.cofactor aig l ~v ~phase:true in
-  let size_naive = Aig.size aig (Aig.or_ aig f0 f1) in
-  (* governor tripped: fall back to the naive cofactor disjunction —
-     sweeping, don't-care optimization and rewriting all spend SAT or
-     BDD effort the budget no longer covers. The growth budget below
-     still applies, so partial quantification stays partial. *)
-  let degraded = Util.Limits.check (Cnf.Checker.limits checker) <> None in
-  if degraded then begin
-    Obs.incr obs_limit_fallbacks;
-    Obs.Trace_events.instant_args "quantify.limit_fallback" "var" v
-  end;
-  (* merge phase on the joint cone of the two cofactors *)
-  let run_sweep =
-    (not degraded)
-    && (config.sweep.Sweep.Sweeper.sat <> None || config.sweep.Sweep.Sweeper.bdd_node_limit > 0)
-  in
-  let (f0, f1), sweep_report =
-    if not run_sweep then ((f0, f1), None)
-    else begin
-      let lits, report =
-        Sweep.Sweeper.sweep_lits ~config:config.sweep ?bank aig checker ~prng [ f0; f1 ]
-      in
-      match lits with
-      | [ a; b ] -> ((a, b), Some report)
-      | _ -> assert false
-    end
-  in
-  (* optimization phase on the disjunction *)
-  let result, dc_report =
-    if config.use_dontcare && not degraded then begin
-      let g, report =
-        Synth.Dontcare.disjunction ~config:config.dontcare ?bank aig checker ~prng f0 f1
-      in
-      (g, Some report)
-    end
-    else (Aig.or_ aig f0 f1, None)
-  in
-  let result =
-    if config.use_rewrite && not degraded then fst (Synth.Rewrite.resubstitute aig result)
-    else result
-  in
-  let size_after = Aig.size aig result in
-  let aborted = not (within_budget config ~before:size_before ~after:size_after) in
-  Obs.observe obs_cofactor_size (Aig.size aig f0);
-  Obs.observe obs_cofactor_size (Aig.size aig f1);
-  let report =
-    {
-      var = v;
-      backend = Circuit;
-      size_before;
-      size_cof0 = Aig.size aig f0;
-      size_cof1 = Aig.size aig f1;
-      size_naive;
-      sweep_report;
-      dc_report;
-      pqe_report = None;
-      size_after = (if aborted then size_before else size_after);
-      aborted;
-    }
-  in
-  ((if aborted then Error result else Ok result), report)
-
-(* PQE core — clause-level elimination, no cofactor doubling. The
-   growth budget still applies to the rebuilt clause conjunction, so
-   partial quantification stays partial. On abort the [Error] payload
-   falls back to the naive disjunction to honor the interface contract
-   (the carried literal is always equivalent to [∃v. l]). *)
-let pqe_core ~config aig checker ~size_before l v =
-  let outcome, pqe_report = Pqe.eliminate ~config:config.pqe aig checker l v in
-  let naive () = Aig.or_ aig (Aig.cofactor aig l ~v ~phase:false) (Aig.cofactor aig l ~v ~phase:true) in
-  let result, size_after, aborted =
-    match outcome with
-    | Ok r ->
-      let size_after = Aig.size aig r in
-      if within_budget config ~before:size_before ~after:size_after then (Ok r, size_after, false)
-      else (Error (naive ()), size_before, true)
-    | Error _ -> (Error (naive ()), size_before, true)
-  in
-  let report =
-    {
-      var = v;
-      backend = Pqe;
-      size_before;
-      size_cof0 = 0;
-      size_cof1 = 0;
-      size_naive = 0;
-      sweep_report = None;
-      dc_report = None;
-      pqe_report = Some pqe_report;
-      size_after;
-      aborted;
-    }
-  in
-  (result, report)
-
-(* Backend selector for [Auto]: deterministic, cheap, and advisory —
-   correctness never depends on it because the auto ladder falls back
-   to the other backend on abort. Signals: structural support width
-   (PQE enumerates over it), predicted cofactor growth (the region
-   Shannon expansion duplicates), pattern-bank agreement between the
-   cofactors (lanes where they already agree merge for free in the
-   circuit backend), and the cost of the most recent solver query
-   (PQE spends many queries, so a struggling solver favors circuit). *)
-let decide ?bank ~config aig checker l v =
-  let support_n = List.length (Aig.support aig l) in
-  if support_n > config.pqe.Pqe.max_support then Circuit
-  else begin
-    let size_l = max 1 (Aig.size aig l) in
-    let f0 = Aig.cofactor aig l ~v ~phase:false in
-    let f1 = Aig.cofactor aig l ~v ~phase:true in
-    let growth = float_of_int (Aig.size aig f0 + Aig.size aig f1) /. float_of_int size_l in
-    Obs.observe obs_backend_growth (int_of_float (growth *. 100.));
-    let agreement =
-      match bank with
-      | Some b when Sweep.Pattern_bank.n_words b > 0 ->
-        let n = Sweep.Pattern_bank.n_words b in
-        let same = ref 0 in
-        for wi = 0 to n - 1 do
-          let words u = Sweep.Pattern_bank.word b u wi in
-          if Aig.simulate aig f0 words = Aig.simulate aig f1 words then incr same
-        done;
-        float_of_int !same /. float_of_int n
-      | Some _ | None -> 1.0
-    in
-    let recent_conflicts = Cnf.Checker.last_query_conflicts checker in
-    if recent_conflicts > 10_000 then Circuit
-    else if growth >= 1.5 && agreement <= 0.5 then Pqe
-    else if support_n <= 12 && agreement <= 0.25 then Pqe
-    else Circuit
-  end
 
 let one ?(config = default) ?bank aig checker ~prng l v =
   Obs.with_span obs_span @@ fun () ->
@@ -236,50 +76,86 @@ let one ?(config = default) ?bank aig checker ~prng l v =
     ( Ok l,
       {
         var = v;
-        backend = config.backend;
         size_before;
         size_cof0 = size_before;
         size_cof1 = size_before;
         size_naive = size_before;
         sweep_report = None;
         dc_report = None;
-        pqe_report = None;
         size_after = size_before;
         aborted = false;
       } )
   end
   else begin
-    let run = function
-      | Circuit -> circuit_core ~config ?bank aig checker ~prng ~size_before l v
-      | Pqe -> pqe_core ~config aig checker ~size_before l v
-      | Auto -> assert false
+    let f0 = Aig.cofactor aig l ~v ~phase:false in
+    let f1 = Aig.cofactor aig l ~v ~phase:true in
+    let size_naive = Aig.size aig (Aig.or_ aig f0 f1) in
+    (* governor tripped: fall back to the naive cofactor disjunction —
+       sweeping, don't-care optimization and rewriting all spend SAT or
+       BDD effort the budget no longer covers. The growth budget below
+       still applies, so partial quantification stays partial. *)
+    let degraded = Util.Limits.check (Cnf.Checker.limits checker) <> None in
+    if degraded then begin
+      Obs.incr obs_limit_fallbacks;
+      Obs.Trace_events.instant_args "quantify.limit_fallback" "var" v
+    end;
+    (* merge phase on the joint cone of the two cofactors *)
+    let run_sweep =
+      (not degraded)
+      && (config.sweep.Sweep.Sweeper.sat <> None || config.sweep.Sweep.Sweeper.bdd_node_limit > 0)
     in
-    let ((_, report) as outcome) =
-      match config.backend with
-      | Circuit -> run Circuit
-      | Pqe -> run Pqe
-      | Auto -> (
-        (* the auto ladder: predicted backend first, the other on
-           abort — auto only keeps a variable when both backends do *)
-        let primary = decide ?bank ~config aig checker l v in
-        let secondary = match primary with Circuit -> Pqe | _ -> Circuit in
-        match run primary with
-        | (Ok _, _) as first -> first
-        | (Error _, _) as first -> (
-          Obs.incr obs_backend_fallbacks;
-          match run secondary with (Ok _, _) as second -> second | (Error _, _) -> first))
+    let (f0, f1), sweep_report =
+      if not run_sweep then ((f0, f1), None)
+      else begin
+        let lits, report =
+          Sweep.Sweeper.sweep_lits ~config:config.sweep ?bank aig checker ~prng [ f0; f1 ]
+        in
+        match lits with
+        | [ a; b ] -> ((a, b), Some report)
+        | _ -> assert false
+      end
     in
-    let aborted = report.aborted in
+    (* optimization phase on the disjunction *)
+    let result, dc_report =
+      if config.use_dontcare && not degraded then begin
+        let g, report =
+          Synth.Dontcare.disjunction ~config:config.dontcare ?bank aig checker ~prng f0 f1
+        in
+        (g, Some report)
+      end
+      else (Aig.or_ aig f0 f1, None)
+    in
+    let result =
+      if config.use_rewrite && not degraded then fst (Synth.Rewrite.resubstitute aig result)
+      else result
+    in
+    let size_after = Aig.size aig result in
+    let aborted = not (within_budget config ~before:size_before ~after:size_after) in
+    (* an aborted variable keeps [l], so its report carries [l]'s size *)
+    let size_kept = if aborted then size_before else size_after in
     (* partial-quantification marker: the growth budget rejected this
        elimination and the variable stays for the SAT engine *)
     if aborted then Obs.Trace_events.instant_args "quantify.aborted" "var" v;
-    Obs.Trace_events.end_args "quantify.var" "result_size" report.size_after;
+    Obs.Trace_events.end_args "quantify.var" "result_size" size_kept;
     Obs.incr (if aborted then obs_aborted else obs_eliminated);
-    Obs.incr (match report.backend with Pqe -> obs_backend_pqe | _ -> obs_backend_circuit);
-    Obs.observe obs_result_size report.size_after;
-    if (not aborted) && report.size_naive > 0 then
-      Obs.add obs_saved (max 0 (report.size_naive - report.size_after));
-    outcome
+    Obs.observe obs_cofactor_size (Aig.size aig f0);
+    Obs.observe obs_cofactor_size (Aig.size aig f1);
+    Obs.observe obs_result_size size_kept;
+    if not aborted then Obs.add obs_saved (max 0 (size_naive - size_after));
+    let report =
+      {
+        var = v;
+        size_before;
+        size_cof0 = Aig.size aig f0;
+        size_cof1 = Aig.size aig f1;
+        size_naive;
+        sweep_report;
+        dc_report;
+        size_after = size_kept;
+        aborted;
+      }
+    in
+    ((if aborted then Error result else Ok result), report)
   end
 
 let forall ?(config = default) ?bank aig checker ~prng l v =

@@ -13,22 +13,7 @@
     {b Partial quantification}: a growth budget bounds every elimination;
     quantifications whose result would exceed it are {e aborted} and their
     variable kept free, so the caller can hand the residual variables to a
-    SAT-based engine (paper §4).
-
-    {b Backends}: circuit cofactoring is the paper's algorithm; {!Pqe}
-    is a clause-level partial-quantifier-elimination alternative that
-    avoids cofactor doubling entirely. [Auto] routes each variable with
-    {!decide} and falls back to the other backend when the first
-    aborts, so its abort set is a subset of either fixed backend's. *)
-
-(** Which eliminator handles a variable. *)
-type backend = Circuit | Pqe | Auto
-
-val backend_name : backend -> string
-val backend_of_string : string -> backend option
-
-(** [["circuit"; "pqe"; "auto"]] — for CLI enumerations. *)
-val backend_names : string list
+    SAT-based engine (paper §4). *)
 
 type config = {
   sweep : Sweep.Sweeper.config; (* merge phase *)
@@ -38,8 +23,6 @@ type config = {
   growth_limit : float; (* abort when |∃v.F| > growth_limit·|F| + slack *)
   growth_slack : int;
   greedy_order : bool; (* cheapest-estimated variable first *)
-  backend : backend; (* which eliminator, or [Auto] to route per variable *)
-  pqe : Pqe.config;
 }
 
 val default : config
@@ -50,35 +33,17 @@ val naive_config : config
 
 type var_report = {
   var : Aig.var;
-  backend : backend; (* the backend that produced the final outcome *)
   size_before : int;
-  size_cof0 : int; (* 0 under the PQE backend: no cofactors built *)
+  size_cof0 : int;
   size_cof1 : int;
-  size_naive : int; (* plain OR of the unmerged cofactors; 0 under PQE *)
+  size_naive : int; (* plain OR of the unmerged cofactors *)
   sweep_report : Sweep.Sweeper.report option;
   dc_report : Synth.Dontcare.report option;
-  pqe_report : Pqe.report option;
   size_after : int; (* of the result actually kept *)
   aborted : bool;
 }
 
 val pp_var_report : Format.formatter -> var_report -> unit
-
-(** The [Auto] routing heuristic, exposed for tests and triage:
-    predicts whether circuit cofactoring or PQE should try [v] first,
-    from structural support width, predicted cofactor growth,
-    pattern-bank agreement between the cofactors, and the cost of the
-    checker's most recent query. Deterministic; never returns [Auto].
-    Advisory only — the auto ladder retries the other backend when the
-    chosen one aborts. *)
-val decide :
-  ?bank:Sweep.Pattern_bank.t ->
-  config:config ->
-  Aig.t ->
-  Cnf.Checker.t ->
-  Aig.lit ->
-  Aig.var ->
-  backend
 
 (** [one ?config aig checker ~prng l v] eliminates a single variable.
     [Ok lit] on success; [Error lit_naive] when the growth budget rejected

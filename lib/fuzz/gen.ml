@@ -92,9 +92,8 @@ let redundant_copy aig prng pool f =
 
 (* a mux of xor/xnor over two shared deep subcones: the two select
    cofactors differ only in one polarity buried below the or-of-ands, so
-   the circuit backend's Shannon disjunction is a near-tautology its
-   two-level rewrite rules cannot fold, while PQE's resolution sees the
-   collapse at the clause level *)
+   their Shannon disjunction is a near-tautology the two-level rewrite
+   rules cannot fold and the merge phase must find *)
 let shared_subcone aig prng k ~pool =
   let sel = pick prng pool in
   let depth = max 1 (k.cone_depth - 1) in
@@ -104,8 +103,8 @@ let shared_subcone aig prng k ~pool =
   let xnor = Aig.or_ aig (Aig.and_ aig y z) (Aig.and_ aig (Aig.not_ y) (Aig.not_ z)) in
   Aig.or_ aig (Aig.and_ aig sel xor_) (Aig.and_ aig (Aig.not_ sel) xnor)
 
-(* one gate ranging over the whole pool: maximal support width, the
-   shape the PQE support cap and the backend selector are tuned against *)
+(* one gate ranging over the whole pool: maximal support width, so every
+   cofactor pair spans every variable *)
 let wide_cone aig prng pool =
   let lits =
     Array.to_list (Array.map (fun l -> if Util.Prng.bool prng then Aig.not_ l else l) pool)
@@ -139,9 +138,9 @@ let model ?(knobs = default) ~seed () =
     (fun q ->
       let prng = Util.Prng.split cones_prng in
       let next =
-        (* the PQE-trigger shapes draw from the stream only when their
-           knob is on, so campaigns with the default knobs reproduce
-           seed-for-seed across this change *)
+        (* the two shape knobs draw from the stream only when they are
+           on, so campaigns with the default knobs reproduce
+           seed-for-seed *)
         if knobs.shared_subcones > 0.0 && Util.Prng.float prng < knobs.shared_subcones then
           shared_subcone aig prng knobs ~pool
         else if knobs.wide_support > 0.0 && Util.Prng.float prng < knobs.wide_support then

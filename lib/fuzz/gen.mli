@@ -39,15 +39,15 @@ type knobs = {
   property_literals : int;  (** literals of a [Clause]/[Cube] property *)
   shared_subcones : float;
       (** probability that a latch's cone is a mux of xor/xnor over two
-          shared deep subcones — the shape where the circuit backend's
-          cofactor disjunction is a near-tautology it cannot fold while
-          the PQE backend collapses it by resolution. At [0.0] (the
+          shared deep subcones — a cofactor disjunction that is a
+          near-tautology the rewrite rules cannot fold, so the merge
+          phase has to find the collapse. At [0.0] (the
           default) generation draws no extra PRNG bits, so existing
           seeds reproduce byte-identical models *)
   wide_support : float;
       (** probability that a latch's cone is one gate over the {e whole}
-          variable pool — maximal support width, exercising the PQE
-          support cap and the backend selector. Stream-neutral at [0.0]
+          variable pool — maximal support width, so every cofactor pair
+          spans every variable. Stream-neutral at [0.0]
           like [shared_subcones] *)
 }
 

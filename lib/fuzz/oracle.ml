@@ -2,8 +2,8 @@ type failure =
   | Disagreement of { verdicts : (string * Baselines.Verdict.t) list }
   | Bad_trace of { engine : string; detail : string }
   | Engine_crash of { engine : string; exn : string }
-  | Unsound_quantification of { backend : string; detail : string }
-  | Residual_dependence of { backend : string; var : Aig.var }
+  | Unsound_quantification of { detail : string }
+  | Residual_dependence of { var : Aig.var }
   | Unsound_sweep of { root : int }
   | Unsound_dontcare of { var : Aig.var }
   | Roundtrip_mismatch of { format : [ `Ascii | `Binary ]; detail : string }
@@ -26,11 +26,9 @@ let pp_failure ppf = function
       verdicts
   | Bad_trace { engine; detail } -> Format.fprintf ppf "%s returned a bogus trace: %s" engine detail
   | Engine_crash { engine; exn } -> Format.fprintf ppf "%s raised: %s" engine exn
-  | Unsound_quantification { backend; detail } ->
-    Format.fprintf ppf "unsound quantification (%s backend): %s" backend detail
-  | Residual_dependence { backend; var } ->
-    Format.fprintf ppf "eliminated variable %d still in the result support (%s backend)" var
-      backend
+  | Unsound_quantification { detail } -> Format.fprintf ppf "unsound quantification: %s" detail
+  | Residual_dependence { var } ->
+    Format.fprintf ppf "eliminated variable %d still in the result support" var
   | Unsound_sweep { root } -> Format.fprintf ppf "sweeping changed the semantics of cone %d" root
   | Unsound_dontcare { var } ->
     Format.fprintf ppf "don't-care disjunction over variable %d changed semantics" var
@@ -180,42 +178,29 @@ let check_algebraic ?(config = default_config) m =
   match sweep_failure with
   | Some _ as f -> f
   | None -> (
-    (* 2. quantification = naive cofactor disjunction, support clean —
-       checked per backend: the circuit pipeline, the PQE eliminator
-       and the auto router must each agree with the Shannon oracle on
-       whatever they managed to eliminate (aborts stay compatible: an
-       aborted variable is simply not in [eliminated]) *)
+    (* 2. quantification = naive cofactor disjunction, support clean *)
     let inputs = Netlist.Model.input_vars m in
+    let full = Cbq.Quantify.all aig checker ~prng bad ~vars:inputs in
+    let naive =
+      Cbq.Quantify.all ~config:Cbq.Quantify.naive_config aig checker ~prng bad
+        ~vars:full.Cbq.Quantify.eliminated
+    in
     let quant_failure =
-      List.find_map
-        (fun backend ->
-          let name = Cbq.Quantify.backend_name backend in
-          let config = { Cbq.Quantify.default with backend } in
-          let full = Cbq.Quantify.all ~config aig checker ~prng bad ~vars:inputs in
-          let naive =
-            Cbq.Quantify.all ~config:Cbq.Quantify.naive_config aig checker ~prng bad
-              ~vars:full.Cbq.Quantify.eliminated
-          in
-          if refuted (Cnf.Checker.equal checker full.Cbq.Quantify.lit naive.Cbq.Quantify.lit)
-          then
-            Some
-              (Unsound_quantification
-                 {
-                   backend = name;
-                   detail =
-                     Printf.sprintf
-                       "pipeline result differs from the naive Shannon disjunction over %d \
-                        variables"
-                       (List.length full.Cbq.Quantify.eliminated);
-                 })
-          else
-            List.find_map
-              (fun v ->
-                if Aig.depends_on aig full.Cbq.Quantify.lit v then
-                  Some (Residual_dependence { backend = name; var = v })
-                else None)
-              full.Cbq.Quantify.eliminated)
-        [ Cbq.Quantify.Circuit; Cbq.Quantify.Pqe; Cbq.Quantify.Auto ]
+      if refuted (Cnf.Checker.equal checker full.Cbq.Quantify.lit naive.Cbq.Quantify.lit) then
+        Some
+          (Unsound_quantification
+             {
+               detail =
+                 Printf.sprintf
+                   "pipeline result differs from the naive Shannon disjunction over %d variables"
+                   (List.length full.Cbq.Quantify.eliminated);
+             })
+      else
+        List.find_map
+          (fun v ->
+            if Aig.depends_on aig full.Cbq.Quantify.lit v then Some (Residual_dependence { var = v })
+            else None)
+          full.Cbq.Quantify.eliminated
     in
     match quant_failure with
     | Some _ as f -> f

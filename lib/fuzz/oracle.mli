@@ -7,10 +7,9 @@
       equality {e is} structural equality), in both the ascii and the
       binary format;
     - {b algebraic}: SAT-checked semantic identities of the individual
-      pipeline stages — quantification under {e every} backend (circuit,
-      pqe, auto) equals the naive cofactor disjunction and leaves no
-      trace of the eliminated variables, sweeping and don't-care
-      optimization preserve cone semantics;
+      pipeline stages — quantification equals the naive cofactor
+      disjunction and leaves no trace of the eliminated variables,
+      sweeping and don't-care optimization preserve cone semantics;
     - {b differential}: every verification engine (CBQ backward and
       forward, and the five baselines) runs on its own clone of the
       model, and all {e decided} verdicts must agree — [Undecided] (and
@@ -28,10 +27,10 @@ type failure =
   | Bad_trace of { engine : string; detail : string }
       (** a falsifying engine produced a trace the model rejects *)
   | Engine_crash of { engine : string; exn : string }
-  | Unsound_quantification of { backend : string; detail : string }
-      (** a quantification backend (["circuit"], ["pqe"] or ["auto"])
-          disagreed with the naive Shannon disjunction *)
-  | Residual_dependence of { backend : string; var : Aig.var }
+  | Unsound_quantification of { detail : string }
+      (** the quantification pipeline disagreed with the naive Shannon
+          disjunction *)
+  | Residual_dependence of { var : Aig.var }
       (** an eliminated variable is still in the result's support *)
   | Unsound_sweep of { root : int }
       (** sweeping changed the semantics of the [root]-th model cone *)
@@ -66,8 +65,7 @@ type config = {
   budget : budget;
   suite : Baselines.Suite.config;
       (** the engines of the {e differential} layer, whose returned
-          counterexamples are replayed; the algebraic layer always checks
-          all three quantification backends against the Shannon oracle *)
+          counterexamples are replayed *)
 }
 
 val default_config : config

@@ -46,7 +46,7 @@ let default_interval = 0.05
 
 (* the counters worth a curve by default: solver pressure,
    fixed-point progress, and quantification abort pressure (the curve
-   that shows a backend giving up mid-traversal) *)
+   that shows the quantifier giving up mid-traversal) *)
 let default_counters =
   [
     "sat.solve_calls";

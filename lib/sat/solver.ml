@@ -114,7 +114,6 @@ type t = {
   mutable inprocess_units : int;
   mutable inprocess_equivs : int;
   mutable inprocess_removed : int;
-  mutable last_conflicts : int; (* conflicts consumed by the latest solve *)
 }
 
 let var_decay = 1.0 /. 0.95
@@ -172,7 +171,6 @@ let create () =
     inprocess_units = 0;
     inprocess_equivs = 0;
     inprocess_removed = 0;
-    last_conflicts = 0;
   }
 
 let num_vars t = t.nvars
@@ -1183,7 +1181,7 @@ let solve_raw ?(assumptions = []) ?(conflict_limit = max_int) ?(limits = Util.Li
     end
   end
 
-let solve_recorded ?assumptions ?conflict_limit ?limits t =
+let solve ?assumptions ?conflict_limit ?limits t =
   (* both observability paths share one wrapper; the plain call stays a
      two-flag check away so uninstrumented runs pay nothing *)
   if not (!Obs.enabled || !Obs.Trace_events.enabled) then
@@ -1220,14 +1218,6 @@ let solve_recorded ?assumptions ?conflict_limit ?limits t =
     Obs.observe obs_propagations_per_call (t.propagations - p0);
     result
   end
-
-let solve ?assumptions ?conflict_limit ?limits t =
-  let conflicts_at_entry = t.conflicts in
-  let result = solve_recorded ?assumptions ?conflict_limit ?limits t in
-  t.last_conflicts <- t.conflicts - conflicts_at_entry;
-  result
-
-let last_conflicts t = t.last_conflicts
 
 let simplify ?(limits = Util.Limits.unlimited) t =
   if t.ok then begin

@@ -116,8 +116,3 @@ type stats = {
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
-
-val last_conflicts : t -> int
-(** Conflicts consumed by the most recent {!solve} call — a cheap
-    per-query cost signal for layers that adapt to solver effort
-    (e.g. the quantification backend selector). 0 before any solve. *)

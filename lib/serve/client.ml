@@ -85,7 +85,6 @@ type job_spec = {
   aig : string;
   engine : string;
   budget : Protocol.budget;
-  quantify_backend : string option;
 }
 
 type outcome =
@@ -99,19 +98,14 @@ type outcome =
   | Crashed of { id : int; message : string }
   | Refused of { reason : string }
 
+let submit_request spec =
+  Protocol.submit ~tag:spec.tag ~model_name:spec.model_name ~aig:spec.aig ~engine:spec.engine
+    ~budget:spec.budget
+
 (* ---------- submit one job, waiting inline ---------- *)
 
 let submit_wait ?(on_event = fun (_ : Protocol.event) -> ()) t spec =
-  send t
-    (Protocol.Submit
-       {
-         tag = spec.tag;
-         model_name = spec.model_name;
-         aig = spec.aig;
-         engine = spec.engine;
-         budget = spec.budget;
-         quantify_backend = spec.quantify_backend;
-       });
+  send t (submit_request spec);
   let progress = ref 0 in
   let rec await_accept () =
     match recv_exn t "accept" with
@@ -159,16 +153,7 @@ let run_batch ?(on_event = fun (_ : Protocol.event) -> ()) t specs =
         try
           Array.iter
             (fun spec ->
-              send t
-                (Protocol.Submit
-                   {
-                     tag = spec.tag;
-                     model_name = spec.model_name;
-                     aig = spec.aig;
-                     engine = spec.engine;
-                     budget = spec.budget;
-                     quantify_backend = spec.quantify_backend;
-                   }))
+              send t (submit_request spec))
             specs
         with Sys_error _ | Unix.Unix_error _ -> () (* reader will see the close *))
   in

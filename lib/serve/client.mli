@@ -30,9 +30,6 @@ type job_spec = {
   aig : string;
   engine : string;
   budget : Protocol.budget;
-  quantify_backend : string option;
-      (** per-job {!Cbq.Quantify} backend name for the CBQ engines;
-          [None] means the server's default *)
 }
 
 type outcome =

@@ -59,13 +59,15 @@ type request =
       engine : string;
       budget : budget;
       quantify_backend : string option;
-          (* optional on the wire: absent = server default, so old
-             clients keep working against new servers and vice versa *)
+          (* optional on the wire, and only ever ["circuit"] *)
     }
   | Cancel of { id : int }
   | Ping
   | Stats
   | Shutdown
+
+let submit ~tag ~model_name ~aig ~engine ~budget =
+  Submit { tag; model_name; aig; engine; budget; quantify_backend = None }
 
 type event =
   | Accepted of { tag : string; id : int }
@@ -156,56 +158,71 @@ let event_to_line e = J.to_string (event_json e)
 
 (* ---------- decoding ---------- *)
 
-let str key j = match J.member key j with Some (J.String s) -> Some s | _ -> None
-let int key j = match J.member key j with Some (J.Int i) -> Some i | _ -> None
-
-let float_ key j =
-  match J.member key j with
-  | Some (J.Float f) -> Some f
-  | Some (J.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let require what = function Some v -> Ok v | None -> Error (Printf.sprintf "missing %s" what)
-
 let ( let* ) r f = Result.bind r f
 
+(* An absent field is [None]; a present one of the wrong JSON type is an
+   error naming the field, never a silent default. *)
+let field ty decode key j =
+  match J.member key j with
+  | None -> Ok None
+  | Some v -> (
+    match decode v with
+    | Some x -> Ok (Some x)
+    | None -> Error (Printf.sprintf "%S must be %s" key ty))
+
+let str = field "a string" (function J.String s -> Some s | _ -> None)
+let int = field "an integer" (function J.Int i -> Some i | _ -> None)
+
+let float_ =
+  field "a number" (function J.Float f -> Some f | J.Int i -> Some (float_of_int i) | _ -> None)
+
+let required decode key j =
+  let* v = decode key j in
+  Option.to_result ~none:(Printf.sprintf "missing %S" key) v
+
+let optional decode key j ~default = Result.map (Option.value ~default) (decode key j)
+
 let budget_of_json j =
-  {
-    timeout = float_ "timeout" j;
-    max_conflicts = int "max_conflicts" j;
-    max_aig_nodes = int "max_aig_nodes" j;
-    max_bdd_nodes = int "max_bdd_nodes" j;
-  }
+  let* timeout = float_ "timeout" j in
+  let* max_conflicts = int "max_conflicts" j in
+  let* max_aig_nodes = int "max_aig_nodes" j in
+  let* max_bdd_nodes = int "max_bdd_nodes" j in
+  Ok { timeout; max_conflicts; max_aig_nodes; max_bdd_nodes }
+
+(* [circuit] is the only quantification backend; the field stays on the
+   wire so frames that name it keep working, and any other name is
+   refused rather than ignored *)
+let quantify_backend_of_json j =
+  let* backend = str "quantify_backend" j in
+  match backend with
+  | None | Some "circuit" -> Ok backend
+  | Some other ->
+    Error
+      (Printf.sprintf "\"quantify_backend\" must be \"circuit\", the only backend (got %S)" other)
 
 let parse line ~kind of_json =
   match J.of_string line with
   | Error msg -> Error (Printf.sprintf "%s frame is not JSON: %s" kind msg)
   | Ok (J.Obj _ as j) -> (
     match str "type" j with
-    | None -> Error (Printf.sprintf "%s frame has no \"type\"" kind)
-    | Some ty -> of_json ty j)
+    | Ok None -> Error (Printf.sprintf "%s frame has no \"type\"" kind)
+    | Ok (Some ty) -> of_json ty j
+    | Error msg -> Error msg)
   | Ok _ -> Error (Printf.sprintf "%s frame is not a JSON object" kind)
 
 let request_of_line line =
   parse line ~kind:"request" (fun ty j ->
       match ty with
       | "submit" ->
-        let* tag = require "\"tag\"" (str "tag" j) in
-        let* model_name = require "\"model\"" (str "model" j) in
-        let* engine = require "\"engine\"" (str "engine" j) in
-        let* aig = require "\"aig\"" (str "aig" j) in
-        Ok
-          (Submit
-             {
-               tag;
-               model_name;
-               aig;
-               engine;
-               budget = budget_of_json j;
-               quantify_backend = str "quantify_backend" j;
-             })
+        let* tag = required str "tag" j in
+        let* model_name = required str "model" j in
+        let* engine = required str "engine" j in
+        let* aig = required str "aig" j in
+        let* budget = budget_of_json j in
+        let* quantify_backend = quantify_backend_of_json j in
+        Ok (Submit { tag; model_name; aig; engine; budget; quantify_backend })
       | "cancel" ->
-        let* id = require "\"id\"" (int "id" j) in
+        let* id = required int "id" j in
         Ok (Cancel { id })
       | "ping" -> Ok Ping
       | "stats" -> Ok Stats
@@ -213,49 +230,55 @@ let request_of_line line =
       | other -> Error (Printf.sprintf "unknown request type %S" other))
 
 let verdict_of_json j =
-  match str "verdict" j with
-  | Some "proved" -> Ok Baselines.Verdict.Proved
-  | Some "falsified" ->
-    let* d = require "\"depth\"" (int "depth" j) in
+  let* verdict = required str "verdict" j in
+  match verdict with
+  | "proved" -> Ok Baselines.Verdict.Proved
+  | "falsified" ->
+    let* d = required int "depth" j in
     Ok (Baselines.Verdict.Falsified d)
-  | Some "undecided" ->
-    Ok (Baselines.Verdict.Undecided (Option.value ~default:"" (str "reason" j)))
-  | Some other -> Error (Printf.sprintf "unknown verdict %S" other)
-  | None -> Error "missing \"verdict\""
+  | "undecided" ->
+    let* reason = optional str "reason" j ~default:"" in
+    Ok (Baselines.Verdict.Undecided reason)
+  | other -> Error (Printf.sprintf "unknown verdict %S" other)
 
 let event_of_line line =
   parse line ~kind:"event" (fun ty j ->
       match ty with
       | "accepted" ->
-        let* tag = require "\"tag\"" (str "tag" j) in
-        let* id = require "\"id\"" (int "id" j) in
+        let* tag = required str "tag" j in
+        let* id = required int "id" j in
         Ok (Accepted { tag; id })
       | "rejected" ->
-        let* tag = require "\"tag\"" (str "tag" j) in
-        Ok (Rejected { tag; reason = Option.value ~default:"" (str "reason" j) })
+        let* tag = required str "tag" j in
+        let* reason = optional str "reason" j ~default:"" in
+        Ok (Rejected { tag; reason })
       | "started" ->
-        let* id = require "\"id\"" (int "id" j) in
+        let* id = required int "id" j in
         Ok (Started { id })
       | "progress" ->
-        let* id = require "\"id\"" (int "id" j) in
-        let* frame = require "\"frame\"" (int "frame" j) in
-        let* nodes = require "\"nodes\"" (int "nodes" j) in
+        let* id = required int "id" j in
+        let* frame = required int "frame" j in
+        let* nodes = required int "nodes" j in
         Ok (Progress { id; frame; nodes })
       | "done" ->
-        let* id = require "\"id\"" (int "id" j) in
+        let* id = required int "id" j in
         let* verdict = verdict_of_json j in
-        let* seconds = require "\"seconds\"" (float_ "seconds" j) in
-        Ok (Done { id; verdict; seconds; report = int "report" j })
+        let* seconds = required float_ "seconds" j in
+        let* report = int "report" j in
+        Ok (Done { id; verdict; seconds; report })
       | "failed" ->
-        let* id = require "\"id\"" (int "id" j) in
-        Ok (Failed { id; message = Option.value ~default:"" (str "message" j) })
+        let* id = required int "id" j in
+        let* message = optional str "message" j ~default:"" in
+        Ok (Failed { id; message })
       | "pong" -> Ok Pong
       | "stats" ->
-        let* queued = require "\"queued\"" (int "queued" j) in
-        let* running = require "\"running\"" (int "running" j) in
-        let* completed = require "\"completed\"" (int "completed" j) in
-        let* workers = require "\"workers\"" (int "workers" j) in
+        let* queued = required int "queued" j in
+        let* running = required int "running" j in
+        let* completed = required int "completed" j in
+        let* workers = required int "workers" j in
         Ok (Stats_reply { queued; running; completed; workers })
       | "bye" -> Ok Bye
-      | "error" -> Ok (Protocol_error { message = Option.value ~default:"" (str "message" j) })
+      | "error" ->
+        let* message = optional str "message" j ~default:"" in
+        Ok (Protocol_error { message })
       | other -> Error (Printf.sprintf "unknown event type %S" other))

@@ -39,15 +39,18 @@ type request =
       engine : string;  (** a [Baselines.Suite] engine name *)
       budget : budget;
       quantify_backend : string option;
-          (** a [Cbq.Quantify] backend name for the CBQ engines
-              (["circuit"], ["pqe"], ["auto"]); optional on the wire —
-              absent means the server's default, so older clients
-              inter-operate *)
+          (** accepted only when absent or ["circuit"], the one
+              quantification backend; {!request_of_line} refuses any
+              other value *)
     }
   | Cancel of { id : int }
   | Ping
   | Stats
   | Shutdown  (** stop accepting, drain the queue, exit *)
+
+(** A [Submit] as this build's clients send it: no [quantify_backend]. *)
+val submit :
+  tag:string -> model_name:string -> aig:string -> engine:string -> budget:budget -> request
 
 type event =
   | Accepted of { tag : string; id : int }
@@ -72,8 +75,10 @@ val request_to_line : request -> string
 val event_to_line : event -> string
 
 (** Total decoders: [Error] names the defect (not JSON, missing field,
-    unknown type) instead of raising, so a malformed peer frame can be
-    rejected without killing the connection. *)
+    a field of the wrong JSON type, unknown type) instead of raising, so
+    a malformed peer frame can be rejected without killing the
+    connection. An optional field that is present must have its type:
+    ["max_conflicts": "5"] is an error, not "no conflict limit". *)
 val request_of_line : string -> (request, string) result
 
 val event_of_line : string -> (event, string) result

@@ -256,38 +256,13 @@ let create ?(jobs = Par.Pool.default_jobs ()) ?(ceiling = Protocol.no_budget) ?s
   t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let submit t ~tag:_ ~model_name ~aig ~engine ~quantify_backend ~budget ~emit =
-  (* a per-job backend override specializes the engine table for this
-     job only; an unknown name is the submitter's fault, rejected now *)
-  let backend =
-    match quantify_backend with
-    | None -> Ok None
-    | Some name -> (
-      match Cbq.Quantify.backend_of_string name with
-      | Some b -> Ok (Some b)
-      | None ->
-        Error
-          (Printf.sprintf "unknown quantify backend %S (expected one of: %s)" name
-             (String.concat ", " Cbq.Quantify.backend_names)))
-  in
-  match backend with
-  | Error reason ->
+let submit t ~tag:_ ~model_name ~aig ~engine ~budget ~emit =
+  match Baselines.Suite.find ~config:t.config engine with
+  | None ->
     Obs.incr obs_rejected;
-    Error reason
-  | Ok backend -> (
-    let config =
-      match backend with
-      | None -> t.config
-      | Some backend ->
-        let cbq = t.config.Baselines.Suite.cbq in
-        { t.config with cbq = { cbq with quant = { cbq.quant with backend } } }
-    in
-    match Baselines.Suite.find ~config engine with
-    | None ->
-      Obs.incr obs_rejected;
-      Error (Printf.sprintf "unknown engine %S (expected one of: %s)" engine
-               (String.concat ", " Baselines.Suite.names))
-    | Some engine -> (
+    Error (Printf.sprintf "unknown engine %S (expected one of: %s)" engine
+             (String.concat ", " Baselines.Suite.names))
+  | Some engine -> (
     (* parse up front: a malformed model is the submitter's fault and
        must be rejected now, not burn a worker later *)
     match Netlist.Aiger.read ~name:model_name aig with
@@ -324,7 +299,7 @@ let submit t ~tag:_ ~model_name ~aig ~engine ~quantify_backend ~budget ~emit =
             Obs.incr obs_submitted;
             Condition.signal t.nonempty;
             Ok job.id
-          end)))
+          end))
 
 let cancel t id =
   Mutex.protect t.mutex (fun () ->

@@ -23,19 +23,15 @@ type t
 val create :
   ?jobs:int -> ?ceiling:Protocol.budget -> ?store:Obs.Store.t -> unit -> t
 
-(** Validate (engine name, quantify-backend name, AIGER parse), cap the
-    budget, and enqueue. [quantify_backend] is a {!Cbq.Quantify}
-    backend name specializing the CBQ engines for this job only;
-    [None] means the scheduler's default. [emit] is called from worker
-    domains and must not raise. Returns the job id, or a rejection
-    reason. *)
+(** Validate (engine name, AIGER parse), cap the budget, and enqueue.
+    [emit] is called from worker domains and must not raise. Returns
+    the job id, or a rejection reason. *)
 val submit :
   t ->
   tag:string ->
   model_name:string ->
   aig:string ->
   engine:string ->
-  quantify_backend:string option ->
   budget:Protocol.budget ->
   emit:(Protocol.event -> unit) ->
   (int, string) result

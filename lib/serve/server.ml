@@ -88,15 +88,14 @@ let handle_request t conn line =
     Obs.incr obs_protocol_errors;
     send t conn (Protocol.Protocol_error { message });
     `Continue
-  | Ok (Protocol.Submit { tag; model_name; aig; engine; budget; quantify_backend }) ->
+  | Ok (Protocol.Submit { tag; model_name; aig; engine; budget; _ }) ->
     (* Hold the write mutex across enqueue + Accepted so no worker
        event for this id can be written first. The emit closure routes
        every later event through [send] (which re-takes the mutex from
        its own domain). *)
     Mutex.protect conn.wmutex (fun () ->
         let result =
-          Scheduler.submit t.scheduler ~tag ~model_name ~aig ~engine ~quantify_backend
-            ~budget
+          Scheduler.submit t.scheduler ~tag ~model_name ~aig ~engine ~budget
             ~emit:(fun event ->
               (match event with
               | Protocol.Done { id; _ } | Protocol.Failed { id; _ } -> forget_job conn id

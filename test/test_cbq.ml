@@ -1,6 +1,7 @@
-(* Core-library tests: quantification (against the BDD oracle and the
-   definition), partial quantification, pre-image, unrolling, traces, and
-   the full backward-reachability engine against the family oracles. *)
+(* Core-library tests: quantification (against the BDD oracle, the
+   Shannon disjunction and the definition), partial quantification,
+   pre-image, unrolling, traces, and the full backward-reachability engine
+   against the family oracles. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -172,6 +173,26 @@ let quantified_support_clean =
       let r = Cbq.Quantify.all aig checker ~prng f ~vars:[ 0; 1; 2 ] in
       List.for_all (fun v -> not (Aig.depends_on aig r.Cbq.Quantify.lit v))
         r.Cbq.Quantify.eliminated)
+
+(* one variable against the Shannon disjunction itself, under a finite
+   growth budget: an elimination clears the variable from the support,
+   and an abort still carries a literal equivalent to ∃v.f *)
+let quantify_matches_shannon =
+  let nvars = 5 in
+  let config = { Cbq.Quantify.naive_config with growth_limit = 4.0; growth_slack = 64 } in
+  QCheck.Test.make ~count:200 ~name:"one var = Shannon disjunction"
+    (QCheck.pair (Gen_util.qc_expr ~size:14 nvars) QCheck.(int_bound (nvars - 1)))
+    (fun (e, v) ->
+      let aig = Aig.create () in
+      let checker = Cnf.Checker.create aig in
+      let prng = Util.Prng.create 11 in
+      let f = build_aig aig e in
+      let shannon =
+        Aig.or_ aig (Aig.cofactor aig f ~v ~phase:false) (Aig.cofactor aig f ~v ~phase:true)
+      in
+      match Cbq.Quantify.one ~config aig checker ~prng f v with
+      | Ok q, _ -> semantically_equal aig nvars q shannon && not (Aig.depends_on aig q v)
+      | Error naive, _ -> semantically_equal aig nvars naive shannon)
 
 (* ---------- unroll ---------- *)
 
@@ -453,6 +474,7 @@ let () =
           Alcotest.test_case "all: partial" `Quick test_quantify_all_partial;
           Alcotest.test_case "naive config total" `Quick test_naive_config_never_aborts;
           QCheck_alcotest.to_alcotest quantify_matches_bdd_oracle;
+          QCheck_alcotest.to_alcotest quantify_matches_shannon;
           QCheck_alcotest.to_alcotest quantified_support_clean;
         ] );
       ( "unroll",

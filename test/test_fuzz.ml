@@ -47,12 +47,12 @@ let test_gen_rejects_bad_knobs () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "model accepted invalid knobs"
 
-let test_pqe_shape_knobs () =
+let test_shape_knobs () =
   let bad = { Fuzz.Gen.default with Fuzz.Gen.shared_subcones = 1.5 } in
   check bool "bad shared_subcones rejected" true (Result.is_error (Fuzz.Gen.validate_knobs bad));
   let bad = { Fuzz.Gen.default with Fuzz.Gen.wide_support = -0.1 } in
   check bool "bad wide_support rejected" true (Result.is_error (Fuzz.Gen.validate_knobs bad));
-  (* with a trigger knob on, generation stays deterministic, validates,
+  (* with a shape knob on, generation stays deterministic, validates,
      and actually changes the models *)
   List.iter
     (fun knobs ->
@@ -60,7 +60,7 @@ let test_pqe_shape_knobs () =
         (fun seed ->
           let a = Netlist.Aiger.write (Fuzz.Gen.model ~knobs ~seed ()) in
           let b = Netlist.Aiger.write (Fuzz.Gen.model ~knobs ~seed ()) in
-          check bool (Printf.sprintf "seed %d reproduces under pqe shapes" seed) true (a = b);
+          check bool (Printf.sprintf "seed %d reproduces under the shape knobs" seed) true (a = b);
           check bool "model validates" true
             (Netlist.Model.validate (Fuzz.Gen.model ~knobs ~seed ()) = Ok ());
           check bool
@@ -96,13 +96,16 @@ let test_verdict_compatibility () =
   check bool "different depths" false (Fuzz.Oracle.compatible f2 f3)
 
 let test_oracle_accepts_good_model () =
-  (* a healthy model passes all three layers and every engine decides *)
-  let m = Fuzz.Gen.model ~seed:5 () in
-  (match Fuzz.Oracle.check m with
-  | None -> ()
-  | Some f -> Alcotest.failf "unexpected failure: %a" Fuzz.Oracle.pp_failure f);
-  let verdicts = Fuzz.Oracle.run_engines m in
-  check int "all engines report" (List.length Fuzz.Oracle.engine_names) (List.length verdicts)
+  (* healthy models pass all three layers and every engine decides *)
+  List.iter
+    (fun seed ->
+      let m = Fuzz.Gen.model ~seed () in
+      (match Fuzz.Oracle.check m with
+      | None -> ()
+      | Some f -> Alcotest.failf "seed %d: unexpected failure: %a" seed Fuzz.Oracle.pp_failure f);
+      let verdicts = Fuzz.Oracle.run_engines m in
+      check int "all engines report" (List.length Fuzz.Oracle.engine_names) (List.length verdicts))
+    [ 5; 11; 12; 13; 14; 15 ]
 
 let test_oracle_budget_degrades_to_undecided () =
   (* a one-conflict budget forces degradation; the oracle must classify
@@ -121,27 +124,6 @@ let test_oracle_budget_degrades_to_undecided () =
     | Some f ->
       Alcotest.failf "seed %d: budget degradation misread as %a" seed Fuzz.Oracle.pp_failure f
   done
-
-let test_oracle_backend_choice_agrees () =
-  (* the differential layer runs the CBQ engines under each configured
-     backend; decided verdicts must stay compatible with the baselines *)
-  List.iter
-    (fun backend ->
-      let quant = { Cbq.Quantify.default with backend } in
-      let suite =
-        { Baselines.Suite.default_config with cbq = { Cbq.Reachability.default with quant } }
-      in
-      let config = { Fuzz.Oracle.default_config with Fuzz.Oracle.suite } in
-      for seed = 11 to 15 do
-        let m = Fuzz.Gen.model ~seed () in
-        match Fuzz.Oracle.check ~config m with
-        | None -> ()
-        | Some f ->
-          Alcotest.failf "seed %d under the %s backend: %a" seed
-            (Cbq.Quantify.backend_name backend)
-            Fuzz.Oracle.pp_failure f
-      done)
-    [ Cbq.Quantify.Circuit; Cbq.Quantify.Pqe; Cbq.Quantify.Auto ]
 
 (* ---------- smoke sweep ---------- *)
 
@@ -162,10 +144,10 @@ let test_smoke_sweep_tiny_budget () =
         f.Fuzz.Runner.failure)
     r.Fuzz.Runner.failures
 
-let test_pqe_shape_sweep () =
-  (* PQE-trigger shapes through the full oracle stack: check_algebraic
-     differentially verifies every quantification backend against the
-     Shannon oracle on exactly the structures the pqe backend targets *)
+let test_shape_sweep () =
+  (* shared-subcone and wide-support cones through the full oracle
+     stack: check_algebraic verifies quantification against the Shannon
+     oracle on cofactor pairs only the merge phase can fold *)
   let knobs =
     { Fuzz.Gen.default with Fuzz.Gen.shared_subcones = 0.4; wide_support = 0.3 }
   in
@@ -304,17 +286,16 @@ let () =
           Alcotest.test_case "seeds differ" `Quick test_gen_seeds_differ;
           Alcotest.test_case "models validate" `Quick test_gen_validates;
           Alcotest.test_case "knob validation" `Quick test_gen_rejects_bad_knobs;
-          Alcotest.test_case "pqe-trigger shape knobs" `Quick test_pqe_shape_knobs;
+          Alcotest.test_case "shape knobs" `Quick test_shape_knobs;
           Alcotest.test_case "seed derivation" `Quick test_derive_seed_prefix_stable;
         ] );
       ( "oracle",
         [
           Alcotest.test_case "verdict compatibility" `Quick test_verdict_compatibility;
           Alcotest.test_case "good model passes" `Quick test_oracle_accepts_good_model;
-          Alcotest.test_case "per-backend differential" `Quick test_oracle_backend_choice_agrees;
           Alcotest.test_case "budget degradation" `Quick test_oracle_budget_degrades_to_undecided;
           Alcotest.test_case "100-model smoke sweep" `Quick test_smoke_sweep_tiny_budget;
-          Alcotest.test_case "pqe-shape sweep" `Quick test_pqe_shape_sweep;
+          Alcotest.test_case "shape sweep" `Quick test_shape_sweep;
         ] );
       ( "self-test",
         [

@@ -1,8 +1,9 @@
 (* The job daemon end to end, in process: protocol codec totality,
-   malformed-frame rejection without connection loss, concurrent batch
-   verdicts agreeing with sequential runs, cooperative cancellation
-   (explicit and by client disconnect), the server budget ceiling, and
-   the shared run-report store after a batch. *)
+   malformed-frame and wrong-typed-field rejection without connection
+   loss, concurrent batch verdicts agreeing with sequential runs,
+   cooperative cancellation (explicit and by client disconnect), the
+   server budget ceiling, and the shared run-report store after a
+   batch. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -27,10 +28,9 @@ let frozen name param =
   let model, _ = Circuits.Registry.build name (Some param) in
   (Netlist.Model.name model, Netlist.Aiger.write model)
 
-let spec ?(engine = "cbq-bwd") ?(budget = Serve.Protocol.no_budget) ?quantify_backend ~tag
-    name param =
+let spec ?(engine = "cbq-bwd") ?(budget = Serve.Protocol.no_budget) ~tag name param =
   let model_name, aig = frozen name param in
-  { Serve.Client.tag; model_name; aig; engine; budget; quantify_backend }
+  { Serve.Client.tag; model_name; aig; engine; budget }
 
 let with_server ?jobs ?ceiling ?store f =
   with_dir @@ fun dir ->
@@ -75,7 +75,7 @@ let requests_roundtrip () =
           aig = "x";
           engine = "cbq-bwd";
           budget = Serve.Protocol.no_budget;
-          quantify_backend = Some "pqe";
+          quantify_backend = Some "circuit";
         };
       Serve.Protocol.Cancel { id = 42 };
       Serve.Protocol.Ping;
@@ -140,8 +140,64 @@ let malformed_frames () =
   (* missing model/engine/aig *)
   bad "{\"type\":\"cancel\"}" (* missing id *)
 
+(* a counter(2) submit frame with [extra] spliced in verbatim, so a test
+   can spell a field's JSON type exactly *)
+let submit_frame ?(extra = "") tag =
+  let model_name, aig = frozen "counter" 2 in
+  let line =
+    Serve.Protocol.request_to_line
+      (Serve.Protocol.submit ~tag ~model_name ~aig ~engine:"cbq-bwd"
+         ~budget:Serve.Protocol.no_budget)
+  in
+  String.sub line 0 (String.length line - 1) ^ extra ^ "}"
+
+(* present-but-wrong optional fields: each must be a decode error that
+   names the field, never a silent default *)
+let bad_fields =
+  [
+    (",\"max_conflicts\":\"5\"", "max_conflicts");
+    (",\"max_conflicts\":5.0", "max_conflicts");
+    (",\"timeout\":\"1\"", "timeout");
+    (",\"quantify_backend\":5", "quantify_backend");
+    (",\"quantify_backend\":\"pqe\"", "quantify_backend");
+    (",\"quantify_backend\":\"auto\"", "quantify_backend");
+  ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec scan i = i + n <= String.length s && (String.sub s i n = sub || scan (i + 1)) in
+  scan 0
+
+let names_field field message = contains message (Printf.sprintf "%S" field)
+
+let wrong_typed_fields () =
+  List.iter
+    (fun (extra, field) ->
+      match Serve.Protocol.request_of_line (submit_frame ~extra "t") with
+      | Error message ->
+        check bool (Printf.sprintf "%s: %S names the field" extra message) true
+          (names_field field message)
+      | Ok _ -> Alcotest.failf "decoded a submit with %s" extra)
+    bad_fields;
+  (match
+     Serve.Protocol.request_of_line (submit_frame ~extra:",\"quantify_backend\":\"pqe\"" "t")
+   with
+  | Error message -> check bool "names the only backend" true (contains message "\"circuit\"")
+  | Ok _ -> Alcotest.fail "pqe is not a backend");
+  (match Serve.Protocol.request_of_line (submit_frame ~extra:",\"max_conflicts\":5" "t") with
+  | Ok (Serve.Protocol.Submit { budget; _ }) ->
+    check bool "an integer limit decodes" true (budget.Serve.Protocol.max_conflicts = Some 5)
+  | _ -> Alcotest.fail "a well-typed limit must decode");
+  List.iter
+    (fun extra ->
+      match Serve.Protocol.request_of_line (submit_frame ~extra "t") with
+      | Ok (Serve.Protocol.Submit _) -> ()
+      | _ -> Alcotest.failf "submit with %S must decode" extra)
+    [ ""; ",\"quantify_backend\":\"circuit\"" ]
+
 (* a malformed line over the wire draws a protocol error and leaves the
-   connection usable *)
+   connection usable; so does a submit with a wrong-typed field, whose
+   error names the field *)
 let malformed_over_the_wire () =
   with_server ~jobs:1 @@ fun _server address ->
   (* no raw-line entry point on the client, so speak the protocol
@@ -157,14 +213,20 @@ let malformed_over_the_wire () =
   let outc = Unix.out_channel_of_descr sock in
   let inc = Unix.in_channel_of_descr sock in
   output_string outc "this is { not json\n";
+  List.iter (fun (extra, _) -> output_string outc (submit_frame ~extra "bad" ^ "\n")) bad_fields;
   output_string outc "{\"type\":\"ping\"}\n";
   flush outc;
-  (match Serve.Protocol.event_of_line (input_line inc) with
-  | Ok (Serve.Protocol.Protocol_error _) -> ()
-  | Ok e ->
-    Alcotest.fail
-      (Printf.sprintf "expected a protocol error, got %s" (Serve.Protocol.event_to_line e))
-  | Error msg -> Alcotest.fail msg);
+  List.iter
+    (fun field ->
+      match Serve.Protocol.event_of_line (input_line inc) with
+      | Ok (Serve.Protocol.Protocol_error { message }) ->
+        check bool (Printf.sprintf "%S names %s" message field) true
+          (field = "" || names_field field message)
+      | Ok e ->
+        Alcotest.fail
+          (Printf.sprintf "expected a protocol error, got %s" (Serve.Protocol.event_to_line e))
+      | Error msg -> Alcotest.fail msg)
+    ("" :: List.map snd bad_fields);
   (match Serve.Protocol.event_of_line (input_line inc) with
   | Ok Serve.Protocol.Pong -> ()
   | Ok e ->
@@ -224,25 +286,40 @@ let submit_rejections () =
   (match
      Serve.Client.submit_wait c
        { Serve.Client.tag = "b"; model_name = "junk"; aig = "aag junk"; engine = "bmc";
-         budget = Serve.Protocol.no_budget; quantify_backend = None }
+         budget = Serve.Protocol.no_budget }
    with
   | Serve.Client.Refused _ -> ()
   | _ -> Alcotest.fail "unparsable AIGER must be refused");
-  (match
-     Serve.Client.submit_wait c (spec ~quantify_backend:"warp" ~tag:"q" "counter" 2)
-   with
-  | Serve.Client.Refused { reason } ->
-    check bool "reason names the backend" true
-      (String.length reason > 0
-      && String.lowercase_ascii reason |> fun s ->
-         String.length s >= 7 && String.sub s 0 7 = "unknown")
-  | _ -> Alcotest.fail "unknown quantify backend must be refused");
-  (* the same connection still works, per-job backend override included *)
-  match
-    Serve.Client.submit_wait c (spec ~tag:"c" ~quantify_backend:"auto" "counter" 2)
-  with
-  | Serve.Client.Finished { verdict = Baselines.Verdict.Falsified 3; _ } -> ()
-  | _ -> Alcotest.fail "valid submit after rejections must still run"
+  (* a backend other than "circuit" does not decode *)
+  let model_name, aig = frozen "counter" 2 in
+  let submit tag quantify_backend =
+    Serve.Client.send c
+      (Serve.Protocol.Submit
+         {
+           tag;
+           model_name;
+           aig;
+           engine = "cbq-bwd";
+           budget = Serve.Protocol.no_budget;
+           quantify_backend;
+         })
+  in
+  submit "q" (Some "pqe");
+  (match Serve.Client.recv c with
+  | Some (Serve.Protocol.Protocol_error { message }) ->
+    check bool "reason names the only backend" true (contains message "\"circuit\"")
+  | _ -> Alcotest.fail "the pqe backend must be refused");
+  (* the same connection still works, naming the one backend included *)
+  submit "c" (Some "circuit");
+  let rec verdict () =
+    match Serve.Client.recv c with
+    | Some (Serve.Protocol.Done { verdict; _ }) -> verdict
+    | Some (Serve.Protocol.Rejected { reason; _ }) -> Alcotest.fail reason
+    | Some _ -> verdict ()
+    | None -> Alcotest.fail "connection closed"
+  in
+  check bool "valid submit after rejections still runs" true
+    (verdict () = Baselines.Verdict.Falsified 3)
 
 (* ---------- cancellation ---------- *)
 
@@ -415,6 +492,7 @@ let () =
           Alcotest.test_case "requests round-trip" `Quick requests_roundtrip;
           Alcotest.test_case "events round-trip" `Quick events_roundtrip;
           Alcotest.test_case "malformed frames are rejected" `Quick malformed_frames;
+          Alcotest.test_case "wrong-typed fields name the field" `Quick wrong_typed_fields;
           Alcotest.test_case "garbage on the wire is survivable" `Quick malformed_over_the_wire;
         ] );
       ( "scheduler",
