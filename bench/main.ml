@@ -138,17 +138,23 @@ let quant_levels =
       config =
         { Cbq.Quantify.naive_config with sweep = Sweep.Sweeper.default; growth_limit = infinity };
     };
+    (* these levels measure the optimization phase itself, so it runs on
+       every disjunction, not only on those over the (infinite) budget *)
     {
       level_name = "+dc";
       config =
         {
           Cbq.Quantify.default with
+          optimize = Always;
           dontcare = { Synth.Dontcare.default with odc_max_tries = 0 };
           use_rewrite = false;
           growth_limit = infinity;
         };
     };
-    { level_name = "+rw/full"; config = { Cbq.Quantify.default with growth_limit = infinity } };
+    {
+      level_name = "+rw/full";
+      config = { Cbq.Quantify.default with optimize = Always; growth_limit = infinity };
+    };
   ]
 
 let quantify_with config (cone : Circuits.Comb.cone) k =
@@ -839,7 +845,9 @@ let b1 () =
         (fun k ->
           if k <= List.length cone.Circuits.Comb.vars then begin
             let vars = List.filteri (fun i _ -> i < k) cone.Circuits.Comb.vars in
-            let config = { Cbq.Quantify.default with growth_limit = infinity } in
+            let config =
+              { Cbq.Quantify.default with optimize = Always; growth_limit = infinity }
+            in
             let checker = Cnf.Checker.create aig in
             let prng = Util.Prng.create 121 in
             let seq = Cbq.Quantify.all ~config aig checker ~prng cone.Circuits.Comb.root ~vars in

@@ -22,13 +22,19 @@ let configs : (string * Cbq.Quantify.config) list =
     ( "+dc",
       {
         Cbq.Quantify.default with
+        optimize = Always;
         dontcare = { Synth.Dontcare.default with odc_max_tries = 0 };
         use_rewrite = false;
         growth_limit = infinity;
       } );
     ( "+odc",
-      { Cbq.Quantify.default with use_rewrite = false; growth_limit = infinity } );
-    ("+rewrite", { Cbq.Quantify.default with growth_limit = infinity });
+      {
+        Cbq.Quantify.default with
+        optimize = Always;
+        use_rewrite = false;
+        growth_limit = infinity;
+      } );
+    ("+rewrite", { Cbq.Quantify.default with optimize = Always; growth_limit = infinity });
   ]
 
 let () =

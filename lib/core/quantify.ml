@@ -11,9 +11,11 @@ let obs_result_size = Obs.histogram "quantify.result_size"
 let obs_saved = Obs.counter "quantify.nodes_saved_vs_naive"
 let obs_limit_fallbacks = Obs.counter "limits.quantify_fallbacks"
 
+type optimize = Never | Over_budget | Always
+
 type config = {
   sweep : Sweep.Sweeper.config;
-  use_dontcare : bool;
+  optimize : optimize;
   dontcare : Synth.Dontcare.config;
   use_rewrite : bool;
   growth_limit : float;
@@ -24,7 +26,7 @@ type config = {
 let default =
   {
     sweep = Sweep.Sweeper.default;
-    use_dontcare = true;
+    optimize = Over_budget;
     dontcare = Synth.Dontcare.default;
     use_rewrite = true;
     growth_limit = 2.0;
@@ -35,7 +37,7 @@ let default =
 let naive_config =
   {
     sweep = { Sweep.Sweeper.default with bdd_node_limit = 0; sat = None; sim_rounds = 1 };
-    use_dontcare = false;
+    optimize = Never;
     dontcare = Synth.Dontcare.default;
     use_rewrite = false;
     growth_limit = infinity;
@@ -66,6 +68,16 @@ let within_budget config ~before ~after =
   || float_of_int after
      <= (config.growth_limit *. float_of_int before) +. float_of_int config.growth_slack
 
+(* Whether the optimization phase runs on the merged disjunction of a
+   function of [before] nodes: under [Over_budget] only when the
+   disjunction, of [merged_size ()] nodes, would abort, the one case
+   where the phase can change the outcome *)
+let optimizes config ~before ~merged_size =
+  match config.optimize with
+  | Never -> false
+  | Always -> true
+  | Over_budget -> not (within_budget config ~before ~after:(merged_size ()))
+
 let one ?(config = default) ?bank aig checker ~prng l v =
   Obs.with_span obs_span @@ fun () ->
   Obs.Trace_events.begin_args "quantify.var" "var" v;
@@ -90,10 +102,10 @@ let one ?(config = default) ?bank aig checker ~prng l v =
     let f0 = Aig.cofactor aig l ~v ~phase:false in
     let f1 = Aig.cofactor aig l ~v ~phase:true in
     let size_naive = Aig.size aig (Aig.or_ aig f0 f1) in
-    (* governor tripped: fall back to the naive cofactor disjunction —
-       sweeping, don't-care optimization and rewriting all spend SAT or
-       BDD effort the budget no longer covers. The growth budget below
-       still applies, so partial quantification stays partial. *)
+    (* governor tripped: keep the variable, the paper's §4 abort. The
+       plain disjunction is exact but unbounded in size, and sweeping,
+       don't-care optimization and rewriting all spend SAT or BDD effort
+       the budget no longer covers. *)
     let degraded = Util.Limits.check (Cnf.Checker.limits checker) <> None in
     if degraded then begin
       Obs.incr obs_limit_fallbacks;
@@ -115,26 +127,32 @@ let one ?(config = default) ?bank aig checker ~prng l v =
         | _ -> assert false
       end
     in
+    let merged = Aig.or_ aig f0 f1 in
     (* optimization phase on the disjunction *)
     let result, dc_report =
-      if config.use_dontcare && not degraded then begin
+      if
+        (not degraded)
+        && optimizes config ~before:size_before ~merged_size:(fun () -> Aig.size aig merged)
+      then begin
         let g, report =
           Synth.Dontcare.disjunction ~config:config.dontcare ?bank aig checker ~prng f0 f1
         in
         (g, Some report)
       end
-      else (Aig.or_ aig f0 f1, None)
+      else (merged, None)
     in
     let result =
       if config.use_rewrite && not degraded then fst (Synth.Rewrite.resubstitute aig result)
       else result
     in
     let size_after = Aig.size aig result in
-    let aborted = not (within_budget config ~before:size_before ~after:size_after) in
+    let aborted =
+      degraded || not (within_budget config ~before:size_before ~after:size_after)
+    in
     (* an aborted variable keeps [l], so its report carries [l]'s size *)
     let size_kept = if aborted then size_before else size_after in
-    (* partial-quantification marker: the growth budget rejected this
-       elimination and the variable stays for the SAT engine *)
+    (* partial-quantification marker: the variable stays for the SAT
+       engine *)
     if aborted then Obs.Trace_events.instant_args "quantify.aborted" "var" v;
     Obs.Trace_events.end_args "quantify.var" "result_size" size_kept;
     Obs.incr (if aborted then obs_aborted else obs_eliminated);
@@ -179,8 +197,7 @@ let block ?(config = default) ?bank aig checker ~prng l ~vars =
           !c)
       |> List.sort_uniq Int.compare
     in
-    (* same degradation ladder as [one]: once the governor trips, the
-       block collapses to the plain disjunction of the cofactors *)
+    (* same abort as [one]: a tripped governor keeps the whole block *)
     let degraded = Util.Limits.check (Cnf.Checker.limits checker) <> None in
     if degraded then Obs.incr obs_limit_fallbacks;
     (* joint merge phase across every cofactor at once *)
@@ -194,13 +211,7 @@ let block ?(config = default) ?bank aig checker ~prng l ~vars =
         fst (Sweep.Sweeper.sweep_lits ~config:config.sweep ?bank aig checker ~prng cofactors)
         |> List.sort_uniq Int.compare
     in
-    (* balanced disjunction tree, each join optimized under mutual DCs *)
-    let join a b =
-      if config.use_dontcare && not degraded then
-        fst (Synth.Dontcare.disjunction ~config:config.dontcare ?bank aig checker ~prng a b)
-      else Aig.or_ aig a b
-    in
-    let rec reduce = function
+    let rec reduce join = function
       | [] -> Aig.false_
       | [ x ] -> x
       | xs ->
@@ -208,10 +219,24 @@ let block ?(config = default) ?bank aig checker ~prng l ~vars =
           | a :: b :: rest -> join a b :: pair_up rest
           | tail -> tail
         in
-        reduce (pair_up xs)
+        reduce join (pair_up xs)
     in
-    let result = reduce cofactors in
-    if within_budget config ~before:size_before ~after:(Aig.size aig result) then Ok result
+    let merged = lazy (reduce (Aig.or_ aig) cofactors) in
+    (* balanced disjunction tree, each join optimized under mutual DCs *)
+    let result =
+      if
+        (not degraded)
+        && optimizes config ~before:size_before ~merged_size:(fun () ->
+               Aig.size aig (Lazy.force merged))
+      then
+        reduce
+          (fun a b ->
+            fst (Synth.Dontcare.disjunction ~config:config.dontcare ?bank aig checker ~prng a b))
+          cofactors
+      else Lazy.force merged
+    in
+    if (not degraded) && within_budget config ~before:size_before ~after:(Aig.size aig result)
+    then Ok result
     else Error result
   end
 

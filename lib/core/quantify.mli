@@ -8,16 +8,29 @@
       factorized SAT checks; {!Sweep.Sweeper});
     + {b optimize} — synthesis transformations on the disjunction
       (redundancy removal and cross-cofactor don't-care simplification with
-      ODC validation; {!Synth.Dontcare}).
+      ODC validation; {!Synth.Dontcare}). By default it runs only when the
+      merged disjunction exceeds the growth budget: that is the one case
+      where it can turn an abort into an elimination, and elsewhere its
+      SAT work changes no outcome.
 
     {b Partial quantification}: a growth budget bounds every elimination;
     quantifications whose result would exceed it are {e aborted} and their
     variable kept free, so the caller can hand the residual variables to a
-    SAT-based engine (paper §4). *)
+    SAT-based engine (paper §4). Once the run's governor
+    ({!Util.Limits.t}, via {!Cnf.Checker.limits}) has tripped, every
+    further variable is aborted the same way, without sweeping or
+    optimizing: the residual set stays exact and the traversal stops at
+    its next checkpoint. *)
+
+(** When the optimization phase runs on a merged disjunction. *)
+type optimize =
+  | Never
+  | Over_budget  (** only when the disjunction would exceed the growth budget *)
+  | Always  (** on every disjunction; the T1, F2 and B1 experiments pin it *)
 
 type config = {
   sweep : Sweep.Sweeper.config; (* merge phase *)
-  use_dontcare : bool; (* enable the optimization phase *)
+  optimize : optimize; (* when the optimization phase runs *)
   dontcare : Synth.Dontcare.config;
   use_rewrite : bool; (* cut-based resubstitution as a final clean-up *)
   growth_limit : float; (* abort when |∃v.F| > growth_limit·|F| + slack *)
@@ -46,9 +59,11 @@ type var_report = {
 val pp_var_report : Format.formatter -> var_report -> unit
 
 (** [one ?config aig checker ~prng l v] eliminates a single variable.
-    [Ok lit] on success; [Error lit_naive] when the growth budget rejected
-    the result ([lit_naive] is still equivalent to [∃v. l] — callers doing
-    partial quantification discard it and keep [v] free instead). *)
+    [Ok lit] on success; [Error lit'] when the growth budget rejected the
+    result or the governor had tripped ([lit'] is still equivalent to
+    [∃v. l]; after a trip it is the plain disjunction [l|v=0 ∨ l|v=1] —
+    callers doing partial quantification discard it and keep [v] free
+    instead). *)
 val one :
   ?config:config ->
   ?bank:Sweep.Pattern_bank.t ->
@@ -75,8 +90,9 @@ val forall :
     to 6 variables in one step: all [2^k] cofactors are computed, swept
     {e jointly} (so merge points across every pair of cofactors are
     found, not just within one Shannon split), and combined by a balanced
-    tree of don't-care-optimized disjunctions. [Error] as in {!one} when
-    the joint result busts the growth budget. *)
+    tree of disjunctions, don't-care-optimized when [config.optimize]
+    says so for the merged tree. [Error] as in {!one} when the joint
+    result busts the growth budget or the governor had tripped. *)
 val block :
   ?config:config ->
   ?bank:Sweep.Pattern_bank.t ->

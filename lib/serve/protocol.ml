@@ -2,14 +2,14 @@
    request or event per line, over a Unix or TCP stream socket.
 
    Requests flow client -> server, events server -> client. A [Submit]
-   carries the model as ASCII AIGER bytes (the same byte-identical
-   round-trip format [Par.Clone] freezes through), the engine name from
-   [Baselines.Suite.names], and an optional per-resource budget that
-   the server caps against its own ceiling ({!cap}). Every accepted
-   job's lifecycle is streamed back as events correlated by the
-   server-assigned id: [Accepted] (paired to the submit by its client
-   tag), then [Started], zero or more [Progress] frames, and exactly
-   one terminal [Done] or [Failed].
+   carries the model as ASCII AIGER bytes (text, unlike the binary
+   AIGER that [Par.Clone] freezes through, which is raw bytes), the
+   engine name from [Baselines.Suite.names], and an optional
+   per-resource budget that the server caps against its own ceiling
+   ({!cap}). Every accepted job's lifecycle is streamed back as events
+   correlated by the server-assigned id: [Accepted] (paired to the
+   submit by its client tag), then [Started], zero or more [Progress]
+   frames, and exactly one terminal [Done] or [Failed].
 
    The codec is total: {!request_of_line}/{!event_of_line} return
    [Error] on malformed frames instead of raising, so a hostile peer

@@ -70,7 +70,7 @@ let test_quantify_abort_budget () =
     | [] -> assert false
   in
   let config =
-    { Cbq.Quantify.default with growth_limit = 0.0; growth_slack = 0; use_dontcare = false }
+    { Cbq.Quantify.default with growth_limit = 0.0; growth_slack = 0; optimize = Never }
   in
   let result, report = Cbq.Quantify.one ~config aig checker ~prng f 0 in
   (match result with
@@ -85,6 +85,25 @@ let test_quantify_abort_budget () =
     (* zero budget can still succeed if the result is constant *)
     check bool "only constants fit a zero budget" true (Aig.is_const q));
   ignore report
+
+(* the optimization phase runs when [optimize] says so: under the default
+   [Over_budget] only on a merged disjunction the growth budget rejects *)
+let test_quantify_optimize_gate () =
+  let aig, checker, prng = setup () in
+  let x = Aig.var aig 0 and y = Aig.var aig 1 and z = Aig.var aig 2 in
+  let f = Aig.or_ aig (Aig.and_ aig x y) (Aig.and_ aig (Aig.not_ x) z) in
+  let optimized config =
+    let result, report = Cbq.Quantify.one ~config aig checker ~prng f 0 in
+    check bool "still exact" true
+      (semantically_equal aig 3 (Result.fold ~ok:Fun.id ~error:Fun.id result) (Aig.or_ aig y z));
+    report.Cbq.Quantify.dc_report <> None
+  in
+  let d = Cbq.Quantify.default in
+  let tight = { d with growth_limit = 0.0; growth_slack = 0 } in
+  check bool "within budget: skipped" false (optimized d);
+  check bool "over budget: runs" true (optimized tight);
+  check bool "Always: runs within budget" true (optimized { d with optimize = Always });
+  check bool "Never: skipped over budget" false (optimized { tight with optimize = Never })
 
 let test_quantify_all_partition () =
   let aig, checker, prng = setup () in
@@ -112,7 +131,7 @@ let test_quantify_all_partial () =
       (List.nth xs 7)
   in
   let config =
-    { Cbq.Quantify.default with growth_limit = 0.0; growth_slack = 2; use_dontcare = false;
+    { Cbq.Quantify.default with growth_limit = 0.0; growth_slack = 2; optimize = Never;
       greedy_order = false }
   in
   let r = Cbq.Quantify.all ~config aig checker ~prng f ~vars:[ 0 ] in
@@ -393,27 +412,30 @@ let test_reachability_iteration_limit () =
 let golden_traversals =
   [
     ("bwd", "counter", Some 3, `Plain, "FALSIFIED (depth 7)",
-     [ (8, 1, 0); (12, 1, 0); (15, 1, 0); (13, 1, 0); (16, 1, 0); (12, 1, 0); (16, 1, 0) ]);
+     [ (9, 1, 0); (13, 1, 0); (16, 1, 0); (17, 1, 0); (10, 1, 0); (14, 1, 0); (17, 1, 0) ]);
     ("bwd", "fifo-buggy", Some 2, `Plain, "FALSIFIED (depth 5)",
-     [ (0, 2, 0); (7, 2, 0); (17, 2, 0); (20, 2, 0); (2, 2, 0) ]);
+     [ (0, 2, 0); (19, 2, 0); (18, 2, 0); (2, 2, 0); (20, 2, 0) ]);
     ("bwd", "counter-even", Some 4, `Plain, "PROVED", [ (0, 1, 0) ]);
     ("bwd", "gray", Some 3, `Plain, "PROVED", [ (0, 1, 0) ]);
     ("bwd", "shift-pattern", Some 4, `Reached_dc, "FALSIFIED (depth 4)",
      [ (2, 1, 0); (1, 1, 0); (0, 1, 0); (0, 1, 0) ]);
     ("bwd", "arbiter", Some 3, `Reached_dc, "PROVED", [ (4, 3, 0); (0, 3, 0) ]);
-    ("bwd", "counter", Some 4, `Conflicts 3, "UNDECIDED (conflict pool after 8 frames)",
-     [ (12, 1, 0); (19, 1, 0); (25, 1, 0); (29, 1, 0); (33, 1, 0); (37, 1, 0); (41, 1, 0);
-       (53, 1, 0) ]);
+    (* the optimization phase runs only over the growth budget, so the
+       3-conflict pool lasts to a decision *)
+    ("bwd", "counter", Some 4, `Conflicts 3, "FALSIFIED (depth 15)",
+     [ (13, 1, 0); (20, 1, 0); (26, 1, 0); (30, 1, 0); (34, 1, 0); (38, 1, 0); (42, 1, 0);
+       (43, 1, 0); (14, 1, 0); (21, 1, 0); (27, 1, 0); (31, 1, 0); (35, 1, 0); (39, 1, 0);
+       (43, 1, 0) ]);
     ("bwd", "twin-shift", Some 4, `Conflicts 10, "PROVED", [ (11, 0, 0) ]);
     ("fwd", "counter", Some 3, `Plain, "FALSIFIED (depth 7)",
      [ (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0) ]);
     ("fwd", "fifo-buggy", Some 2, `Plain, "FALSIFIED (depth 5)",
-     [ (5, 5, 0); (8, 5, 0); (8, 5, 0); (8, 5, 0); (8, 5, 0) ]);
+     [ (5, 5, 0); (9, 5, 0); (9, 5, 0); (9, 5, 0); (9, 5, 0) ]);
     ("fwd", "counter-even", Some 4, `Plain, "PROVED",
      [ (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0) ]);
     ("fwd", "gray", Some 3, `Plain, "PROVED",
-     [ (11, 7, 0); (11, 7, 0); (20, 7, 0); (21, 7, 0); (16, 7, 0); (21, 7, 0); (20, 7, 0);
-       (21, 7, 0); (16, 7, 0) ]);
+     [ (11, 7, 0); (11, 7, 0); (20, 7, 0); (21, 7, 0); (19, 7, 0); (21, 7, 0); (20, 7, 0);
+       (21, 7, 0); (19, 7, 0) ]);
     ("fwd", "shift-pattern", Some 4, `Reached_dc, "FALSIFIED (depth 4)",
      [ (3, 5, 0); (7, 5, 0); (0, 5, 0); (0, 5, 0) ]);
     ("fwd", "arbiter", Some 3, `Reached_dc, "PROVED",
@@ -468,6 +490,7 @@ let () =
         [
           Alcotest.test_case "definition" `Quick test_quantify_definition;
           Alcotest.test_case "free variable" `Quick test_quantify_free_variable;
+          Alcotest.test_case "optimization phase gate" `Quick test_quantify_optimize_gate;
           Alcotest.test_case "constant results" `Quick test_quantify_to_constant;
           Alcotest.test_case "abort budget" `Quick test_quantify_abort_budget;
           Alcotest.test_case "all: partition" `Quick test_quantify_all_partition;

@@ -1,9 +1,9 @@
 (* The resource governor and every graceful-degradation path it gates:
    governor bookkeeping, budgeted SAT queries answering Maybe, sweeping
-   that keeps merges proven before exhaustion, quantification falling
-   back to the naive form, and — the contract that matters — engines
-   whose limited verdicts are Unknown or agree with the oracle, never a
-   wrong Safe/Unsafe. *)
+   that keeps merges proven before exhaustion, quantification keeping
+   its variables once the governor trips, and — the contract that
+   matters — engines whose limited verdicts are Unknown or agree with
+   the oracle, never a wrong Safe/Unsafe. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -205,8 +205,10 @@ let test_conflict_trip_does_not_skip_bdd_stage () =
 (* ---------- quantification fallback ---------- *)
 
 let test_quantify_fallback_equivalence () =
-  (* the degraded path (naive cofactor disjunction, no sweeping, no
-     don't-cares) must compute the same function as the unbounded path *)
+  (* a tripped governor keeps every variable (the paper's partial
+     quantification abort): [all] hands back [f] itself with both
+     variables kept, and [one]'s [Error] payload is still the exact
+     quantification, the plain Shannon disjunction *)
   let build () =
     let aig = Aig.create () in
     let xs = List.init 5 (Aig.var aig) in
@@ -220,23 +222,61 @@ let test_quantify_fallback_equivalence () =
     in
     (aig, f)
   in
-  let quantified limits =
-    let aig, f = build () in
-    let checker = Cnf.Checker.create aig in
-    Cnf.Checker.set_limits checker limits;
-    let prng = Util.Prng.create 21 in
-    let r = Cbq.Quantify.all aig checker ~prng f ~vars:[ 0; 2 ] in
-    (aig, r)
+  let aig, f = build () in
+  let checker = Cnf.Checker.create aig in
+  Cnf.Checker.set_limits checker (expired ());
+  let prng = Util.Prng.create 21 in
+  let limited = Cbq.Quantify.all aig checker ~prng f ~vars:[ 0; 2 ] in
+  check int "degraded quantification returns f" f limited.Cbq.Quantify.lit;
+  check (Alcotest.list int) "both variables kept" [ 0; 2 ]
+    (List.sort Int.compare limited.Cbq.Quantify.kept);
+  check (Alcotest.list int) "none eliminated" [] limited.Cbq.Quantify.eliminated;
+  let shannon =
+    Aig.or_ aig (Aig.cofactor aig f ~v:0 ~phase:false) (Aig.cofactor aig f ~v:0 ~phase:true)
   in
-  let aig_u, unbounded = quantified Util.Limits.unlimited in
-  let aig_l, limited = quantified (expired ()) in
-  (* compare cross-manager by truth table over the shared variable order *)
-  let table aig l = List.init 32 (eval_mask aig l) in
-  check bool "degraded quantification computes the same set" true
-    (table aig_u unbounded.Cbq.Quantify.lit = table aig_l limited.Cbq.Quantify.lit);
-  check bool "quantified variables gone" false
-    (Aig.depends_on aig_l limited.Cbq.Quantify.lit 0
-    || Aig.depends_on aig_l limited.Cbq.Quantify.lit 2)
+  (match Cbq.Quantify.one aig checker ~prng f 0 with
+  | Error g, report ->
+    check bool "reported as aborted" true report.Cbq.Quantify.aborted;
+    check bool "payload is the Shannon disjunction" true (semantically_equal aig 5 g shannon)
+  | Ok _, _ -> Alcotest.fail "a tripped governor must keep the variable");
+  (* and it is the set the unbounded path computes *)
+  let aig_u, f_u = build () in
+  let unbounded =
+    Cbq.Quantify.one aig_u (Cnf.Checker.create aig_u) ~prng:(Util.Prng.create 21) f_u 0
+  in
+  match unbounded with
+  | Ok g_u, _ ->
+    let table aig l = List.init 32 (eval_mask aig l) in
+    check bool "same set as the unbounded path" true (table aig_u g_u = table aig shannon)
+  | Error _, _ -> Alcotest.fail "the unbounded path eliminates x0"
+
+(* the latency contract: a CBQ traversal cancelled from another domain
+   mid-frame stops promptly, because the quantifier keeps the frame's
+   remaining variables instead of grinding through them unoptimized *)
+let test_cancel_stops_traversal () =
+  (* mult-cmp 10 takes about 0.3 s unbudgeted, so 50 ms is mid-run *)
+  let model, _ = Circuits.Registry.build "mult-cmp" (Some 10) in
+  let limits = Util.Limits.create () in
+  let config = { Cbq.Reachability.default with make_trace = false } in
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result (Some (Cbq.Reachability.run ~config ~limits model)))
+  in
+  Unix.sleepf 0.05;
+  Util.Limits.cancel limits;
+  let watch = Util.Stopwatch.start () in
+  Domain.join d;
+  let latency = Util.Stopwatch.elapsed watch in
+  (match Atomic.get result with
+  | Some { Cbq.Reachability.verdict = Cbq.Reachability.Out_of_budget { reason; _ }; _ } ->
+    check string "names the cancel" "cancelled" reason
+  | Some r ->
+    Alcotest.fail
+      (Format.asprintf "expected a cancelled run, got %a" Cbq.Reachability.pp_verdict
+         r.Cbq.Reachability.verdict)
+  | None -> Alcotest.fail "traversal returned nothing");
+  check bool "stops within 2 s of the cancel" true (latency < 2.0)
 
 (* ---------- engines: limited verdicts are never wrong ---------- *)
 
@@ -377,6 +417,8 @@ let () =
         [
           Alcotest.test_case "fallback computes the same set" `Quick
             test_quantify_fallback_equivalence;
+          Alcotest.test_case "cancel stops a traversal mid-frame" `Quick
+            test_cancel_stops_traversal;
         ] );
       ( "engines",
         [

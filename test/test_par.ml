@@ -9,6 +9,7 @@
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
+let string = Alcotest.string
 
 (* ---------- pool ---------- *)
 
@@ -68,6 +69,23 @@ let clone_is_equal_and_independent =
       equal_before
       && Netlist.Aiger.write m = original_bytes
       && Aig.num_nodes (Netlist.Model.aig m) = nodes_before)
+
+(* frozen models travel as binary AIGER: on every registry family the
+   thawed clone must be the model an ASCII round-trip gives, node for
+   node *)
+let test_binary_clone_matches_ascii () =
+  List.iter
+    (fun (e : Circuits.Registry.entry) ->
+      let m = e.Circuits.Registry.make e.Circuits.Registry.default_param in
+      let name = Netlist.Model.name m in
+      let ascii = Netlist.Aiger.read ~name (Netlist.Aiger.write m) in
+      let clone = Par.Clone.model m in
+      check string (name ^ " renders like the ascii clone") (Netlist.Aiger.write ascii)
+        (Netlist.Aiger.write clone);
+      check int (name ^ " node count")
+        (Aig.num_nodes (Netlist.Model.aig ascii))
+        (Aig.num_nodes (Netlist.Model.aig clone)))
+    Circuits.Registry.all
 
 let test_freeze_thaw_across_domains () =
   let m = Fuzz.Gen.model ~seed:42 () in
@@ -249,6 +267,8 @@ let () =
       ( "clone",
         [
           QCheck_alcotest.to_alcotest clone_is_equal_and_independent;
+          Alcotest.test_case "binary clone = ascii clone on every family" `Quick
+            test_binary_clone_matches_ascii;
           Alcotest.test_case "freeze/thaw across domains" `Quick test_freeze_thaw_across_domains;
         ] );
       ( "race",
