@@ -138,14 +138,14 @@ let quant_levels =
       config =
         { Cbq.Quantify.naive_config with sweep = Sweep.Sweeper.default; growth_limit = infinity };
     };
-    (* these levels measure the optimization phase itself, so it runs on
-       every disjunction, not only on those over the (infinite) budget *)
+    (* these levels measure the optimization phase itself, which is off
+       by default *)
     {
       level_name = "+dc";
       config =
         {
           Cbq.Quantify.default with
-          optimize = Always;
+          use_dontcare = true;
           dontcare = { Synth.Dontcare.default with odc_max_tries = 0 };
           use_rewrite = false;
           growth_limit = infinity;
@@ -153,7 +153,7 @@ let quant_levels =
     };
     {
       level_name = "+rw/full";
-      config = { Cbq.Quantify.default with optimize = Always; growth_limit = infinity };
+      config = { Cbq.Quantify.default with use_dontcare = true; growth_limit = infinity };
     };
   ]
 
@@ -512,6 +512,8 @@ let t5 () =
   let models =
     if !quick then [ ("arbiter", Some 4) ] else [ ("arbiter", Some 6); ("arbiter", Some 10); ("gray", Some 4) ]
   in
+  (* the optimization phase is on throughout T5: under a tight budget a
+     merged disjunction can exceed it, and the phase can save the variable *)
   let budgets = [ (0.5, "0.5x"); (1.0, "1.0x"); (2.0, "2.0x"); (infinity, "inf") ] in
   List.iter
     (fun (name, param) ->
@@ -523,7 +525,9 @@ let t5 () =
         (fun (limit, label) ->
           let checker = Cnf.Checker.create aig in
           let prng = Util.Prng.create 31 in
-          let config = { Cbq.Quantify.default with growth_limit = limit; growth_slack = 8 } in
+          let config =
+            { Cbq.Quantify.default with use_dontcare = true; growth_limit = limit; growth_slack = 8 }
+          in
           let pre =
             Cbq.Preimage.compute ~config model checker ~prng ~frontier:bad ~extra_vars:[]
           in
@@ -551,7 +555,9 @@ let t5 () =
           let aig = cone.Circuits.Comb.aig in
           let checker = Cnf.Checker.create aig in
           let prng = Util.Prng.create 41 in
-          let config = { Cbq.Quantify.default with growth_limit = limit; growth_slack = 0 } in
+          let config =
+            { Cbq.Quantify.default with use_dontcare = true; growth_limit = limit; growth_slack = 0 }
+          in
           let r =
             Cbq.Quantify.all ~config aig checker ~prng cone.Circuits.Comb.root ~vars:half
           in
@@ -846,7 +852,7 @@ let b1 () =
           if k <= List.length cone.Circuits.Comb.vars then begin
             let vars = List.filteri (fun i _ -> i < k) cone.Circuits.Comb.vars in
             let config =
-              { Cbq.Quantify.default with optimize = Always; growth_limit = infinity }
+              { Cbq.Quantify.default with use_dontcare = true; growth_limit = infinity }
             in
             let checker = Cnf.Checker.create aig in
             let prng = Util.Prng.create 121 in

@@ -22,7 +22,7 @@ let configs : (string * Cbq.Quantify.config) list =
     ( "+dc",
       {
         Cbq.Quantify.default with
-        optimize = Always;
+        use_dontcare = true;
         dontcare = { Synth.Dontcare.default with odc_max_tries = 0 };
         use_rewrite = false;
         growth_limit = infinity;
@@ -30,11 +30,11 @@ let configs : (string * Cbq.Quantify.config) list =
     ( "+odc",
       {
         Cbq.Quantify.default with
-        optimize = Always;
+        use_dontcare = true;
         use_rewrite = false;
         growth_limit = infinity;
       } );
-    ("+rewrite", { Cbq.Quantify.default with optimize = Always; growth_limit = infinity });
+    ("+rewrite", { Cbq.Quantify.default with use_dontcare = true; growth_limit = infinity });
   ]
 
 let () =

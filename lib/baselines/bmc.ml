@@ -15,9 +15,10 @@ let pp_result ppf r =
     r.seconds
 
 (* strict budget: only structurally cheap eliminations are worth doing in
-   front of a SAT call *)
+   front of a SAT call. A merged disjunction can exceed it, so the
+   optimization phase runs *)
 let preprocess_config =
-  { Cbq.Quantify.default with growth_limit = 1.0; growth_slack = 8 }
+  { Cbq.Quantify.default with use_dontcare = true; growth_limit = 1.0; growth_slack = 8 }
 
 let search ?(conflict_limit = max_int) ?(preprocess = false)
     ?(limits = Util.Limits.unlimited) model ~target_at ~max_depth =

@@ -17,9 +17,10 @@ let pp_result ppf r =
   Format.fprintf ppf "%a iterations=%d enumerations=%d %.3fs" Verdict.pp r.verdict
     (List.length r.iterations) r.total_enumerations r.seconds
 
-(* a deliberately strict budget: quantify only while the set stays small *)
+(* a deliberately strict budget: quantify only while the set stays small.
+   A merged disjunction can exceed it, so the optimization phase runs *)
 let default_quant =
-  { Cbq.Quantify.default with growth_limit = 1.2; growth_slack = 16 }
+  { Cbq.Quantify.default with use_dontcare = true; growth_limit = 1.2; growth_slack = 16 }
 
 let run ?(quant_config = default_quant) ?(max_iterations = 200) ?(max_enumerations = 10_000)
     ?(limits = Util.Limits.unlimited) model =

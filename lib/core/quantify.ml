@@ -1,6 +1,8 @@
-(* Abort accounting is the paper's headline number: how often the growth
-   budget rejects an elimination and hands the variable to the SAT engine
-   (partial quantification, §4). *)
+(* Abort accounting is the paper's headline number: how often a variable
+   is kept for the SAT engine instead of eliminated (partial
+   quantification, §4). The abort counters cover both causes, the growth
+   budget and a tripped governor; [limits.quantify_fallbacks] counts the
+   governor's share. *)
 let obs_span = Obs.span "quantify.one"
 let obs_eliminated = Obs.counter "quantify.vars.eliminated"
 let obs_aborted = Obs.counter "quantify.vars.aborted"
@@ -11,11 +13,9 @@ let obs_result_size = Obs.histogram "quantify.result_size"
 let obs_saved = Obs.counter "quantify.nodes_saved_vs_naive"
 let obs_limit_fallbacks = Obs.counter "limits.quantify_fallbacks"
 
-type optimize = Never | Over_budget | Always
-
 type config = {
   sweep : Sweep.Sweeper.config;
-  optimize : optimize;
+  use_dontcare : bool;
   dontcare : Synth.Dontcare.config;
   use_rewrite : bool;
   growth_limit : float;
@@ -26,7 +26,7 @@ type config = {
 let default =
   {
     sweep = Sweep.Sweeper.default;
-    optimize = Over_budget;
+    use_dontcare = false;
     dontcare = Synth.Dontcare.default;
     use_rewrite = true;
     growth_limit = 2.0;
@@ -37,7 +37,7 @@ let default =
 let naive_config =
   {
     sweep = { Sweep.Sweeper.default with bdd_node_limit = 0; sat = None; sim_rounds = 1 };
-    optimize = Never;
+    use_dontcare = false;
     dontcare = Synth.Dontcare.default;
     use_rewrite = false;
     growth_limit = infinity;
@@ -67,16 +67,6 @@ let within_budget config ~before ~after =
   config.growth_limit = infinity
   || float_of_int after
      <= (config.growth_limit *. float_of_int before) +. float_of_int config.growth_slack
-
-(* Whether the optimization phase runs on the merged disjunction of a
-   function of [before] nodes: under [Over_budget] only when the
-   disjunction, of [merged_size ()] nodes, would abort, the one case
-   where the phase can change the outcome *)
-let optimizes config ~before ~merged_size =
-  match config.optimize with
-  | Never -> false
-  | Always -> true
-  | Over_budget -> not (within_budget config ~before ~after:(merged_size ()))
 
 let one ?(config = default) ?bank aig checker ~prng l v =
   Obs.with_span obs_span @@ fun () ->
@@ -127,19 +117,15 @@ let one ?(config = default) ?bank aig checker ~prng l v =
         | _ -> assert false
       end
     in
-    let merged = Aig.or_ aig f0 f1 in
     (* optimization phase on the disjunction *)
     let result, dc_report =
-      if
-        (not degraded)
-        && optimizes config ~before:size_before ~merged_size:(fun () -> Aig.size aig merged)
-      then begin
+      if config.use_dontcare && not degraded then begin
         let g, report =
           Synth.Dontcare.disjunction ~config:config.dontcare ?bank aig checker ~prng f0 f1
         in
         (g, Some report)
       end
-      else (merged, None)
+      else (Aig.or_ aig f0 f1, None)
     in
     let result =
       if config.use_rewrite && not degraded then fst (Synth.Rewrite.resubstitute aig result)
@@ -211,7 +197,13 @@ let block ?(config = default) ?bank aig checker ~prng l ~vars =
         fst (Sweep.Sweeper.sweep_lits ~config:config.sweep ?bank aig checker ~prng cofactors)
         |> List.sort_uniq Int.compare
     in
-    let rec reduce join = function
+    (* balanced disjunction tree, each join optimized under mutual DCs *)
+    let join a b =
+      if config.use_dontcare && not degraded then
+        fst (Synth.Dontcare.disjunction ~config:config.dontcare ?bank aig checker ~prng a b)
+      else Aig.or_ aig a b
+    in
+    let rec reduce = function
       | [] -> Aig.false_
       | [ x ] -> x
       | xs ->
@@ -219,22 +211,9 @@ let block ?(config = default) ?bank aig checker ~prng l ~vars =
           | a :: b :: rest -> join a b :: pair_up rest
           | tail -> tail
         in
-        reduce join (pair_up xs)
+        reduce (pair_up xs)
     in
-    let merged = lazy (reduce (Aig.or_ aig) cofactors) in
-    (* balanced disjunction tree, each join optimized under mutual DCs *)
-    let result =
-      if
-        (not degraded)
-        && optimizes config ~before:size_before ~merged_size:(fun () ->
-               Aig.size aig (Lazy.force merged))
-      then
-        reduce
-          (fun a b ->
-            fst (Synth.Dontcare.disjunction ~config:config.dontcare ?bank aig checker ~prng a b))
-          cofactors
-      else Lazy.force merged
-    in
+    let result = reduce cofactors in
     if (not degraded) && within_budget config ~before:size_before ~after:(Aig.size aig result)
     then Ok result
     else Error result

@@ -8,10 +8,12 @@
       factorized SAT checks; {!Sweep.Sweeper});
     + {b optimize} — synthesis transformations on the disjunction
       (redundancy removal and cross-cofactor don't-care simplification with
-      ODC validation; {!Synth.Dontcare}). By default it runs only when the
-      merged disjunction exceeds the growth budget: that is the one case
-      where it can turn an abort into an elimination, and elsewhere its
-      SAT work changes no outcome.
+      ODC validation; {!Synth.Dontcare}). Off by default: cofactoring and
+      sweeping map each cone node to at most one node, so the merged
+      disjunction of an [|F|]-node function has at most [2|F|+1] nodes and
+      always fits the default growth budget [2|F|+32]. The phase then
+      cannot save a variable from abort, and its SAT work changes no
+      outcome. Configs with a tighter budget turn it on.
 
     {b Partial quantification}: a growth budget bounds every elimination;
     quantifications whose result would exceed it are {e aborted} and their
@@ -22,15 +24,9 @@
     optimizing: the residual set stays exact and the traversal stops at
     its next checkpoint. *)
 
-(** When the optimization phase runs on a merged disjunction. *)
-type optimize =
-  | Never
-  | Over_budget  (** only when the disjunction would exceed the growth budget *)
-  | Always  (** on every disjunction; the T1, F2 and B1 experiments pin it *)
-
 type config = {
   sweep : Sweep.Sweeper.config; (* merge phase *)
-  optimize : optimize; (* when the optimization phase runs *)
+  use_dontcare : bool; (* run the optimization phase on every disjunction *)
   dontcare : Synth.Dontcare.config;
   use_rewrite : bool; (* cut-based resubstitution as a final clean-up *)
   growth_limit : float; (* abort when |∃v.F| > growth_limit·|F| + slack *)
@@ -41,7 +37,8 @@ type config = {
 val default : config
 
 (** Raw Shannon expansion: hashing only, no sweeping, no optimization, no
-    abort — the baseline the paper improves on. *)
+    growth-budget abort — the baseline the paper improves on. A tripped
+    governor still keeps the variables. *)
 val naive_config : config
 
 type var_report = {
@@ -90,9 +87,9 @@ val forall :
     to 6 variables in one step: all [2^k] cofactors are computed, swept
     {e jointly} (so merge points across every pair of cofactors are
     found, not just within one Shannon split), and combined by a balanced
-    tree of disjunctions, don't-care-optimized when [config.optimize]
-    says so for the merged tree. [Error] as in {!one} when the joint
-    result busts the growth budget or the governor had tripped. *)
+    tree of disjunctions, don't-care-optimized under [config.use_dontcare].
+    [Error] as in {!one} when the joint result busts the growth budget or
+    the governor had tripped. *)
 val block :
   ?config:config ->
   ?bank:Sweep.Pattern_bank.t ->

@@ -178,21 +178,25 @@ let check_algebraic ?(config = default_config) m =
   match sweep_failure with
   | Some _ as f -> f
   | None -> (
-    (* 2. quantification = naive cofactor disjunction, support clean *)
+    (* 2. quantification = naive cofactor disjunction, support clean, for
+       the default pipeline and for the one with the (by default off)
+       don't-care phase *)
     let inputs = Netlist.Model.input_vars m in
-    let full = Cbq.Quantify.all aig checker ~prng bad ~vars:inputs in
-    let naive =
-      Cbq.Quantify.all ~config:Cbq.Quantify.naive_config aig checker ~prng bad
-        ~vars:full.Cbq.Quantify.eliminated
-    in
-    let quant_failure =
+    let quant_failure (config : Cbq.Quantify.config) =
+      let full = Cbq.Quantify.all ~config aig checker ~prng bad ~vars:inputs in
+      let naive =
+        Cbq.Quantify.all ~config:Cbq.Quantify.naive_config aig checker ~prng bad
+          ~vars:full.Cbq.Quantify.eliminated
+      in
       if refuted (Cnf.Checker.equal checker full.Cbq.Quantify.lit naive.Cbq.Quantify.lit) then
         Some
           (Unsound_quantification
              {
                detail =
                  Printf.sprintf
-                   "pipeline result differs from the naive Shannon disjunction over %d variables"
+                   "pipeline result%s differs from the naive Shannon disjunction over %d \
+                    variables"
+                   (if config.use_dontcare then " (don't-care phase on)" else "")
                    (List.length full.Cbq.Quantify.eliminated);
              })
       else
@@ -202,7 +206,10 @@ let check_algebraic ?(config = default_config) m =
             else None)
           full.Cbq.Quantify.eliminated
     in
-    match quant_failure with
+    match
+      List.find_map quant_failure
+        [ Cbq.Quantify.default; { Cbq.Quantify.default with use_dontcare = true } ]
+    with
     | Some _ as f -> f
     | None -> (
       (* 3. the don't-care-optimized disjunction of two cofactors is still

@@ -7,9 +7,10 @@
       equality {e is} structural equality), in both the ascii and the
       binary format;
     - {b algebraic}: SAT-checked semantic identities of the individual
-      pipeline stages — quantification equals the naive cofactor
-      disjunction and leaves no trace of the eliminated variables,
-      sweeping and don't-care optimization preserve cone semantics;
+      pipeline stages — quantification, with and without the
+      don't-care phase, equals the naive cofactor disjunction and leaves
+      no trace of the eliminated variables, sweeping and don't-care
+      optimization preserve cone semantics;
     - {b differential}: every verification engine (CBQ backward and
       forward, and the five baselines) runs on its own clone of the
       model, and all {e decided} verdicts must agree — [Undecided] (and

@@ -70,7 +70,7 @@ let test_quantify_abort_budget () =
     | [] -> assert false
   in
   let config =
-    { Cbq.Quantify.default with growth_limit = 0.0; growth_slack = 0; optimize = Never }
+    { Cbq.Quantify.default with growth_limit = 0.0; growth_slack = 0; use_dontcare = false }
   in
   let result, report = Cbq.Quantify.one ~config aig checker ~prng f 0 in
   (match result with
@@ -86,9 +86,9 @@ let test_quantify_abort_budget () =
     check bool "only constants fit a zero budget" true (Aig.is_const q));
   ignore report
 
-(* the optimization phase runs when [optimize] says so: under the default
-   [Over_budget] only on a merged disjunction the growth budget rejects *)
-let test_quantify_optimize_gate () =
+(* the optimization phase is off by default (the merged disjunction
+   always fits the default growth budget) and runs under [use_dontcare] *)
+let test_quantify_dontcare_opt_in () =
   let aig, checker, prng = setup () in
   let x = Aig.var aig 0 and y = Aig.var aig 1 and z = Aig.var aig 2 in
   let f = Aig.or_ aig (Aig.and_ aig x y) (Aig.and_ aig (Aig.not_ x) z) in
@@ -98,12 +98,9 @@ let test_quantify_optimize_gate () =
       (semantically_equal aig 3 (Result.fold ~ok:Fun.id ~error:Fun.id result) (Aig.or_ aig y z));
     report.Cbq.Quantify.dc_report <> None
   in
-  let d = Cbq.Quantify.default in
-  let tight = { d with growth_limit = 0.0; growth_slack = 0 } in
-  check bool "within budget: skipped" false (optimized d);
-  check bool "over budget: runs" true (optimized tight);
-  check bool "Always: runs within budget" true (optimized { d with optimize = Always });
-  check bool "Never: skipped over budget" false (optimized { tight with optimize = Never })
+  check bool "default: skipped" false (optimized Cbq.Quantify.default);
+  check bool "use_dontcare: runs" true
+    (optimized { Cbq.Quantify.default with use_dontcare = true })
 
 let test_quantify_all_partition () =
   let aig, checker, prng = setup () in
@@ -131,7 +128,7 @@ let test_quantify_all_partial () =
       (List.nth xs 7)
   in
   let config =
-    { Cbq.Quantify.default with growth_limit = 0.0; growth_slack = 2; optimize = Never;
+    { Cbq.Quantify.default with growth_limit = 0.0; growth_slack = 2; use_dontcare = false;
       greedy_order = false }
   in
   let r = Cbq.Quantify.all ~config aig checker ~prng f ~vars:[ 0 ] in
@@ -163,35 +160,45 @@ let build_aig = Gen_util.build_aig
 let build_bdd = Gen_util.build_bdd
 let qc_expr = Gen_util.qc_expr nvars
 
+(* the randomized pipeline checks run the default and, since it is off by
+   default, the optimization phase as well *)
+let pipeline_configs =
+  [ Cbq.Quantify.default; { Cbq.Quantify.default with use_dontcare = true } ]
+
 let quantify_matches_bdd_oracle =
   QCheck.Test.make ~name:"CBQ quantification = BDD exists" ~count:80 qc_expr (fun e ->
-      let aig = Aig.create () in
-      let checker = Cnf.Checker.create aig in
-      let prng = Util.Prng.create 29 in
-      let f = build_aig aig e in
       let man = Bdd.create () in
-      let fb = build_bdd man e in
-      let r = Cbq.Quantify.all aig checker ~prng f ~vars:[ 0; 1 ] in
-      r.Cbq.Quantify.kept = []
-      &&
-      let qb = Bdd.exists man (fun v -> v <= 1) fb in
-      let rec go mask =
-        mask >= 1 lsl nvars
-        || eval_mask aig r.Cbq.Quantify.lit mask
-           = Bdd.eval man qb (fun v -> (mask lsr v) land 1 = 1)
-           && go (mask + 1)
-      in
-      go 0)
+      let qb = Bdd.exists man (fun v -> v <= 1) (build_bdd man e) in
+      List.for_all
+        (fun config ->
+          let aig = Aig.create () in
+          let checker = Cnf.Checker.create aig in
+          let prng = Util.Prng.create 29 in
+          let f = build_aig aig e in
+          let r = Cbq.Quantify.all ~config aig checker ~prng f ~vars:[ 0; 1 ] in
+          r.Cbq.Quantify.kept = []
+          &&
+          let rec go mask =
+            mask >= 1 lsl nvars
+            || eval_mask aig r.Cbq.Quantify.lit mask
+               = Bdd.eval man qb (fun v -> (mask lsr v) land 1 = 1)
+               && go (mask + 1)
+          in
+          go 0)
+        pipeline_configs)
 
 let quantified_support_clean =
   QCheck.Test.make ~name:"eliminated variables leave the support" ~count:80 qc_expr (fun e ->
-      let aig = Aig.create () in
-      let checker = Cnf.Checker.create aig in
-      let prng = Util.Prng.create 31 in
-      let f = build_aig aig e in
-      let r = Cbq.Quantify.all aig checker ~prng f ~vars:[ 0; 1; 2 ] in
-      List.for_all (fun v -> not (Aig.depends_on aig r.Cbq.Quantify.lit v))
-        r.Cbq.Quantify.eliminated)
+      List.for_all
+        (fun config ->
+          let aig = Aig.create () in
+          let checker = Cnf.Checker.create aig in
+          let prng = Util.Prng.create 31 in
+          let f = build_aig aig e in
+          let r = Cbq.Quantify.all ~config aig checker ~prng f ~vars:[ 0; 1; 2 ] in
+          List.for_all (fun v -> not (Aig.depends_on aig r.Cbq.Quantify.lit v))
+            r.Cbq.Quantify.eliminated)
+        pipeline_configs)
 
 (* one variable against the Shannon disjunction itself, under a finite
    growth budget: an elimination clears the variable from the support,
@@ -490,7 +497,7 @@ let () =
         [
           Alcotest.test_case "definition" `Quick test_quantify_definition;
           Alcotest.test_case "free variable" `Quick test_quantify_free_variable;
-          Alcotest.test_case "optimization phase gate" `Quick test_quantify_optimize_gate;
+          Alcotest.test_case "don't-care phase is opt-in" `Quick test_quantify_dontcare_opt_in;
           Alcotest.test_case "constant results" `Quick test_quantify_to_constant;
           Alcotest.test_case "abort budget" `Quick test_quantify_abort_budget;
           Alcotest.test_case "all: partition" `Quick test_quantify_all_partition;

@@ -627,9 +627,9 @@ let test_block_matches_sequential () =
   let prng = Util.Prng.create 111 in
   let x = Aig.var aig 0 and y = Aig.var aig 1 and z = Aig.var aig 2 and w = Aig.var aig 3 in
   let f = Aig.or_ aig (Aig.and_ aig x (Aig.xor_ aig y z)) (Aig.and_ aig w (Aig.iff_ aig x z)) in
-  (* [Always]: under an infinite budget the default never optimizes, and
-     the don't-care joins are what these block tests exercise *)
-  let config = { Cbq.Quantify.default with optimize = Always; growth_limit = infinity } in
+  (* the don't-care joins, off by default, are what these block tests
+     exercise *)
+  let config = { Cbq.Quantify.default with use_dontcare = true; growth_limit = infinity } in
   (match Cbq.Quantify.block ~config aig checker ~prng f ~vars:[ 0; 2 ] with
   | Ok blocked ->
     let seq = Cbq.Quantify.all ~config aig checker ~prng f ~vars:[ 0; 2 ] in
@@ -664,7 +664,7 @@ let block_matches_bdd =
       let aig = cone.Circuits.Comb.aig in
       let checker = Cnf.Checker.create aig in
       let prng = Util.Prng.create seed in
-      let config = { Cbq.Quantify.default with optimize = Always; growth_limit = infinity } in
+      let config = { Cbq.Quantify.default with use_dontcare = true; growth_limit = infinity } in
       match Cbq.Quantify.block ~config aig checker ~prng cone.Circuits.Comb.root ~vars:[ 0; 1 ] with
       | Error _ -> false
       | Ok blocked ->

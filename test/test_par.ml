@@ -9,7 +9,6 @@
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
-let string = Alcotest.string
 
 (* ---------- pool ---------- *)
 
@@ -52,39 +51,32 @@ let test_run_shards_covers_all_indices () =
 
 let qc_seed = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)
 
+(* a clone renders like the original, and growing the clone's manager
+   leaves the original alone *)
+let clones_equal_and_independent m =
+  let original_bytes = Netlist.Aiger.write m in
+  let c = Par.Clone.model m in
+  (* the AIGER round-trip is byte-identical, so textual equality is
+     structural equality: same node numbering, same variable indices *)
+  let equal_before = Netlist.Aiger.write c = original_bytes in
+  (* grow the clone's manager; the original must not move *)
+  let caig = Netlist.Model.aig c in
+  let nodes_before = Aig.num_nodes (Netlist.Model.aig m) in
+  let x = Aig.var caig (Aig.num_vars caig) in
+  ignore (Aig.and_ caig x c.Netlist.Model.property);
+  equal_before
+  && Netlist.Aiger.write m = original_bytes
+  && Aig.num_nodes (Netlist.Model.aig m) = nodes_before
+
 let clone_is_equal_and_independent =
   QCheck.Test.make ~name:"clones are structurally equal and manager-independent" ~count:60
-    qc_seed (fun seed ->
-      let m = Fuzz.Gen.model ~seed () in
-      let original_bytes = Netlist.Aiger.write m in
-      let c = Par.Clone.model m in
-      (* the AIGER round-trip is byte-identical, so textual equality is
-         structural equality: same node numbering, same variable indices *)
-      let equal_before = Netlist.Aiger.write c = original_bytes in
-      (* grow the clone's manager; the original must not move *)
-      let caig = Netlist.Model.aig c in
-      let nodes_before = Aig.num_nodes (Netlist.Model.aig m) in
-      let x = Aig.var caig (Aig.num_vars caig) in
-      ignore (Aig.and_ caig x c.Netlist.Model.property);
-      equal_before
-      && Netlist.Aiger.write m = original_bytes
-      && Aig.num_nodes (Netlist.Model.aig m) = nodes_before)
+    qc_seed (fun seed -> clones_equal_and_independent (Fuzz.Gen.model ~seed ()))
 
-(* frozen models travel as binary AIGER: on every registry family the
-   thawed clone must be the model an ASCII round-trip gives, node for
-   node *)
-let test_binary_clone_matches_ascii () =
+let test_registry_clones () =
   List.iter
     (fun (e : Circuits.Registry.entry) ->
-      let m = e.Circuits.Registry.make e.Circuits.Registry.default_param in
-      let name = Netlist.Model.name m in
-      let ascii = Netlist.Aiger.read ~name (Netlist.Aiger.write m) in
-      let clone = Par.Clone.model m in
-      check string (name ^ " renders like the ascii clone") (Netlist.Aiger.write ascii)
-        (Netlist.Aiger.write clone);
-      check int (name ^ " node count")
-        (Aig.num_nodes (Netlist.Model.aig ascii))
-        (Aig.num_nodes (Netlist.Model.aig clone)))
+      check bool e.Circuits.Registry.name true
+        (clones_equal_and_independent (e.Circuits.Registry.make e.Circuits.Registry.default_param)))
     Circuits.Registry.all
 
 let test_freeze_thaw_across_domains () =
@@ -267,8 +259,7 @@ let () =
       ( "clone",
         [
           QCheck_alcotest.to_alcotest clone_is_equal_and_independent;
-          Alcotest.test_case "binary clone = ascii clone on every family" `Quick
-            test_binary_clone_matches_ascii;
+          Alcotest.test_case "every registry family clones" `Quick test_registry_clones;
           Alcotest.test_case "freeze/thaw across domains" `Quick test_freeze_thaw_across_domains;
         ] );
       ( "race",
