@@ -450,13 +450,8 @@ let t4_run_engines name param =
   let vs v = Format.asprintf "%a" Baselines.Verdict.pp v in
   (let m = build () in
    let r, dt = Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:{ Cbq.Reachability.default with make_trace = false } ~limits:(row_limits ()) m) in
-   let v =
-     match r.Cbq.Reachability.verdict with
-     | Cbq.Reachability.Proved -> "PROVED"
-     | Cbq.Reachability.Falsified { depth; _ } -> Printf.sprintf "FALSIFIED(%d)" depth
-     | Cbq.Reachability.Out_of_budget { reason; _ } -> "UNDECIDED(" ^ reason ^ ")"
-   in
-   add "cbq" v (List.length r.Cbq.Reachability.iterations) r.Cbq.Reachability.peak_frontier dt);
+   add "cbq" (vs r.Cbq.Reachability.verdict) (List.length r.Cbq.Reachability.iterations)
+     r.Cbq.Reachability.peak_frontier dt);
   (let m = build () in
    let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.backward ~node_limit:300_000 ~limits:(row_limits ()) m) in
    add "bdd-bwd" (vs r.Baselines.Bdd_mc.verdict) (List.length r.Baselines.Bdd_mc.iterations)
@@ -473,22 +468,22 @@ let t4_run_engines name param =
    let r, dt = Util.Stopwatch.time (fun () -> Baselines.Induction.run ~max_k:40 ~limits:(row_limits ()) m) in
    add "induction" (vs r.Baselines.Induction.verdict) r.Baselines.Induction.k_used
      r.Baselines.Induction.solver.Sat.Solver.decisions dt);
+  let add_reach engine (r : Cbq.Reachability.result) dt =
+    add engine (vs r.verdict) (List.length r.iterations) r.peak_frontier dt
+  in
   (let m = build () in
    let r, dt =
      Util.Stopwatch.time (fun () ->
          Baselines.Cofactor_preimage.run ~max_enumerations:50_000 ~limits:(row_limits ()) m)
    in
-   add "cofactor" (vs r.Baselines.Cofactor_preimage.verdict)
-     (List.length r.Baselines.Cofactor_preimage.iterations)
-     r.Baselines.Cofactor_preimage.total_enumerations dt);
+   add_reach "cofactor" r.Baselines.Cofactor_preimage.reach dt);
   (let m = build () in
    let r, dt = Util.Stopwatch.time (fun () -> Baselines.Hybrid.run ~limits:(row_limits ()) m) in
-   add "hybrid" (vs r.Baselines.Hybrid.verdict) (List.length r.Baselines.Hybrid.iterations)
-     r.Baselines.Hybrid.total_enumerations dt);
+   add_reach "hybrid" r.Baselines.Hybrid.reach dt);
   List.rev !rows
 
 let t4 () =
-  header "T4" "traversal comparison (peak = AIG frontier / BDD nodes / SAT decisions / enums)";
+  header "T4" "traversal comparison (peak = AIG frontier / BDD nodes / SAT decisions)";
   line "%-16s %-10s %-16s %6s %9s %9s@." "model" "engine" "verdict" "iters" "peak" "time(s)";
   List.iter
     (fun (name, param) ->
@@ -593,12 +588,12 @@ let t5 () =
       with_report ("t5-enum-" ^ Netlist.Model.name model) @@ fun () ->
       (let r = Baselines.Cofactor_preimage.run ~max_enumerations:100_000 model in
        line "%-12s %-22s %14d@." (Netlist.Model.name model) "pure enumeration"
-         r.Baselines.Cofactor_preimage.total_enumerations);
+         r.Baselines.Cofactor_preimage.enumerations);
       let model2, _ = Circuits.Registry.build name param in
       let r = Baselines.Hybrid.run model2 in
       line "%-12s %-22s %14d@."
         (Netlist.Model.name model2)
-        "cbq-preprocessed (hybrid)" r.Baselines.Hybrid.total_enumerations)
+        "cbq-preprocessed (hybrid)" r.Baselines.Hybrid.enumerations)
     models
 
 (* ---------------------------------------------------------------- *)
@@ -728,13 +723,8 @@ let t7 () =
       let r1, dt1 =
         Util.Stopwatch.time (fun () -> Cbq.Forward.run ~config:cfg ~limits:(row_limits ()) m1)
       in
-      let v1 =
-        match r1.Cbq.Reachability.verdict with
-        | Cbq.Reachability.Proved -> "PROVED"
-        | Cbq.Reachability.Falsified { depth; _ } -> Printf.sprintf "FALSIFIED(%d)" depth
-        | Cbq.Reachability.Out_of_budget { reason; _ } -> "UNDECIDED(" ^ reason ^ ")"
-      in
-      line "%-16s %-10s %-16s %6d %9d %9.4f@." (Netlist.Model.name m1) "cbq-fwd" v1
+      line "%-16s %-10s %-16s %6d %9d %9.4f@." (Netlist.Model.name m1) "cbq-fwd"
+        (Format.asprintf "%a" Baselines.Verdict.pp r1.Cbq.Reachability.verdict)
         (List.length r1.Cbq.Reachability.iterations)
         r1.Cbq.Reachability.peak_frontier dt1;
       let m2, _ = Circuits.Registry.build name param in

@@ -29,8 +29,8 @@ let print_minimized model t =
 
 (* One path for every engine: its own result line, its per-frame lines
    under -v, the trace, and an independent check of any invariant it
-   returns as a PROVED certificate. *)
-let print_detail ~verbose ~trace ~minimize model (d : Baselines.Suite.detail) =
+   returns as a PROVED certificate, under the run's governor. *)
+let print_detail ~verbose ~trace ~minimize ~limits model (d : Baselines.Suite.detail) =
   Format.printf "%t@." d.pp_result;
   if verbose then Format.printf "%t" d.pp_frames;
   (match d.trace with
@@ -40,10 +40,12 @@ let print_detail ~verbose ~trace ~minimize model (d : Baselines.Suite.detail) =
   | Some _ | None -> ());
   match d.invariant with
   | Some inv -> (
-    match Cbq.Certify.check model ~invariant:inv with
+    match Cbq.Certify.check ~limits model ~invariant:inv with
     | Ok () ->
       Format.printf "certificate: inductive invariant of %d AND nodes, independently checked@."
         (Aig.size (Netlist.Model.aig model) inv)
+    | Error (Cbq.Certify.Unchecked _ as f) ->
+      Format.printf "certificate: %a@." Cbq.Certify.pp_failure f
     | Error f -> Format.printf "certificate REJECTED: %a@." Cbq.Certify.pp_failure f)
   | None -> ()
 
@@ -314,7 +316,7 @@ let run_cmd =
             else Option.get (Baselines.Suite.find_detailed ~config engine)
           in
           let d = run ~limits model in
-          print_detail ~verbose ~trace ~minimize model d;
+          print_detail ~verbose ~trace ~minimize ~limits model d;
           (model, status, d.Baselines.Suite.verdict))
     in
     (match Util.Limits.exhausted limits with

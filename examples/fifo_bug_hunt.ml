@@ -14,8 +14,8 @@ let () =
   (* 1. unbounded engine: backward reachability with AIG state sets *)
   let r = Cbq.Reachability.run model in
   Format.printf "cbq reachability: %a@." Cbq.Reachability.pp_result r;
-  (match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Falsified { depth; trace = Some t } ->
+  (match (r.Cbq.Reachability.verdict, r.Cbq.Reachability.trace) with
+  | Cbq.Verdict.Falsified depth, Some t ->
     Format.printf "  counterexample depth %d, replays: %b@." depth (Cbq.Trace.check model t);
     let final = t.Cbq.Trace.states.(Array.length t.Cbq.Trace.states - 1) in
     let occupancy =
@@ -24,14 +24,13 @@ let () =
         0 final
     in
     Format.printf "  final occupancy register: %d (capacity %d)@." occupancy (1 lsl depth_log)
-  | Cbq.Reachability.Falsified { trace = None; _ } -> Format.printf "  (no trace)@."
-  | Cbq.Reachability.Proved -> Format.printf "  unexpectedly proved?!@."
-  | Cbq.Reachability.Out_of_budget { reason; _ } ->
-    Format.printf "  undecided: %s@." reason);
+  | Cbq.Verdict.Falsified _, None -> Format.printf "  (no trace)@."
+  | Cbq.Verdict.Proved, _ -> Format.printf "  unexpectedly proved?!@."
+  | Cbq.Verdict.Undecided reason, _ -> Format.printf "  undecided: %s@." reason);
 
   (* 1b. which inputs actually matter? ternary-simulation minimization *)
-  (match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Falsified { trace = Some t; _ } ->
+  (match r.Cbq.Reachability.trace with
+  | Some t ->
     let essential = Cbq.Trace.minimize model t in
     let kept = Array.fold_left (fun acc f -> acc + List.length f) 0 essential in
     let total = Array.fold_left (fun acc f -> acc + List.length f) 0 t.Cbq.Trace.inputs in

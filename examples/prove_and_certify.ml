@@ -15,7 +15,7 @@ let () =
       let model, _ = Circuits.Registry.build name param in
       let r = Cbq.Reachability.run model in
       match r.Cbq.Reachability.verdict with
-      | Cbq.Reachability.Proved -> (
+      | Cbq.Verdict.Proved -> (
         match r.Cbq.Reachability.invariant with
         | Some inv ->
           let size = Aig.size (Netlist.Model.aig model) inv in
@@ -28,7 +28,7 @@ let () =
             size status
         | None -> Format.printf "%-14s %-10s %12s@." (Netlist.Model.name model) "proved" "-")
       | v ->
-        Format.printf "%-14s %a@." (Netlist.Model.name model) Cbq.Reachability.pp_verdict v)
+        Format.printf "%-14s %a@." (Netlist.Model.name model) Cbq.Verdict.pp v)
     [
       ("counter-even", Some 6);
       ("twin-shift", Some 8);

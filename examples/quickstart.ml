@@ -47,10 +47,10 @@ let () =
   (* 3. Full verification: backward reachability with AIG state sets. *)
   let result = Cbq.Reachability.run model in
   Format.printf "verification: %a@." Cbq.Reachability.pp_result result;
-  match result.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Falsified { trace = Some t; _ } ->
+  match (result.Cbq.Reachability.verdict, result.Cbq.Reachability.trace) with
+  | Cbq.Verdict.Falsified _, Some t ->
     Format.printf "%a" (Cbq.Trace.pp model) t;
     Format.printf "trace checks out: %b@." (Cbq.Trace.check model t)
-  | Cbq.Reachability.Falsified { trace = None; _ } -> Format.printf "(no trace requested)@."
-  | Cbq.Reachability.Proved -> Format.printf "property proved@."
-  | Cbq.Reachability.Out_of_budget { reason; _ } -> Format.printf "undecided: %s@." reason
+  | Cbq.Verdict.Falsified _, None -> Format.printf "(no trace requested)@."
+  | Cbq.Verdict.Proved, _ -> Format.printf "property proved@."
+  | Cbq.Verdict.Undecided reason, _ -> Format.printf "undecided: %s@." reason

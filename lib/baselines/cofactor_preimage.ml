@@ -1,121 +1,53 @@
-type preimage_stats = { enumerations : int; result_size : int }
+type result = { reach : Cbq.Reachability.result; enumerations : int }
 
-(* Enumerate ∃(quantify). f by repeated SAT: cofactor f with the
-   satisfying assignment of the quantified variables (circuit
-   cofactoring), accumulate, block, repeat. *)
-let enumerate aig checker f ~quantify ~max_enumerations =
-  Cnf.Checker.set_conflict_limit checker None;
-  let rec go acc count =
-    if count >= max_enumerations then None
-    else begin
-      match Cnf.Checker.satisfiable checker [ f; Aig.not_ acc ] with
-      | Cnf.Checker.No -> Some (acc, count)
-      | Cnf.Checker.Maybe -> None
-      | Cnf.Checker.Yes ->
-        (* generalize the solution: substitute only the quantified
-           variables by their model values; the result is a whole set of
-           (state) solutions sharing this input vector *)
-        let subst v =
-          if List.mem v quantify then
-            Some (if Cnf.Checker.model_var checker v then Aig.true_ else Aig.false_)
-          else None
-        in
-        let cube = Aig.compose aig f ~subst in
-        go (Aig.or_ aig acc cube) (count + 1)
-    end
-  in
-  go Aig.false_ 0
+(* Finish [q] by enumerating its kept variables: cofactor the circuit
+   with each satisfying assignment's values for those variables only
+   (circuit cofactoring), so one solution captures every state that
+   shares it; accumulate, block, repeat until UNSAT. *)
+let enumerate checker ~limit ~used (q : Cbq.Quantify.result) =
+  if q.kept = [] then Ok q
+  else begin
+    let aig = Cnf.Checker.aig checker in
+    Cnf.Checker.set_conflict_limit checker None;
+    let rec go acc =
+      if !used >= limit then Error "enumeration budget"
+      else
+        match Cnf.Checker.satisfiable checker [ q.lit; Aig.not_ acc ] with
+        | Cnf.Checker.No -> Ok { q with lit = acc; eliminated = q.eliminated @ q.kept; kept = [] }
+        | Cnf.Checker.Maybe -> Error (Util.Limits.maybe_reason (Cnf.Checker.limits checker))
+        | Cnf.Checker.Yes ->
+          incr used;
+          let subst v =
+            if List.mem v q.kept then
+              Some (if Cnf.Checker.model_var checker v then Aig.true_ else Aig.false_)
+            else None
+          in
+          go (Aig.or_ aig acc (Aig.compose aig q.lit ~subst))
+    in
+    go Aig.false_
+  end
 
-let preimage model checker ~frontier ~quantify ~max_enumerations =
-  let aig = Netlist.Model.aig model in
-  let inlined = Cbq.Preimage.substitute model frontier in
-  match enumerate aig checker inlined ~quantify ~max_enumerations with
-  | None -> None
-  | Some (acc, count) ->
-    Some (acc, { enumerations = count; result_size = Aig.size aig acc })
-
-type iteration = { index : int; frontier_size : int; enumerations : int }
-
-type result = {
-  verdict : Verdict.t;
-  iterations : iteration list;
-  total_enumerations : int;
-  seconds : float;
-}
-
-let pp_result ppf r =
-  Format.fprintf ppf "%a iterations=%d enumerations=%d %.3fs" Verdict.pp r.verdict
-    (List.length r.iterations) r.total_enumerations r.seconds
-
-let run ?(max_iterations = 200) ?(max_enumerations = 10_000)
-    ?(limits = Util.Limits.unlimited) model =
-  let watch = Util.Stopwatch.start () in
-  let limits = Obs.Limits.arm limits in
-  let aig = Netlist.Model.aig model in
-  let checker = Cnf.Checker.create aig in
-  Cnf.Checker.set_limits checker limits;
-  let init = Netlist.Model.init_lit model in
+(* the in-lined frontier, every input and residual in its support left
+   to enumeration *)
+let direction ~limit ~used env ~init ~bad =
+  let model = env.Cbq.Reachability.model in
   let input_vars = Netlist.Model.input_vars model in
-  let iterations = ref [] in
-  let total_enum = ref 0 in
-  let finish verdict =
-    {
-      verdict;
-      iterations = List.rev !iterations;
-      total_enumerations = !total_enum;
-      seconds = Util.Stopwatch.elapsed watch;
-    }
+  let step frontier ~extra_vars =
+    let inlined = Cbq.Preimage.substitute model frontier in
+    let kept =
+      List.filter
+        (fun v -> List.mem v input_vars || List.mem v extra_vars)
+        (Aig.support (Netlist.Model.aig model) inlined)
+    in
+    enumerate env.Cbq.Reachability.checker ~limit ~used
+      { lit = inlined; eliminated = []; kept; reports = [] }
   in
-  (* an aborted enumeration is either a budgeted Maybe from a governor
-     trip (name the resource) or a genuine enumeration-count overflow *)
-  let enumeration_stop () =
-    match Util.Limits.exhausted limits with
-    | Some r -> Verdict.Undecided (Util.Limits.resource_name r)
-    | None -> Verdict.Undecided "enumeration budget"
+  { (Cbq.Reachability.backward env ~init ~bad) with step }
+
+let run ?(config = Cbq.Reachability.default) ?(max_enumerations = 10_000)
+    ?(limits = Util.Limits.unlimited) model =
+  let used = ref 0 in
+  let reach =
+    Cbq.Reachability.traverse ~config ~limits model (direction ~limit:max_enumerations ~used)
   in
-  (* bad states, input-quantified by enumeration as well *)
-  let bad_raw = Aig.not_ model.Netlist.Model.property in
-  let bad_inputs = List.filter (fun v -> List.mem v input_vars) (Aig.support aig bad_raw) in
-  match enumerate aig checker bad_raw ~quantify:bad_inputs ~max_enumerations with
-  | None -> finish (enumeration_stop ())
-  | Some (b0, n0) ->
-    total_enum := n0;
-    if Cnf.Checker.satisfiable checker [ init; b0 ] = Cnf.Checker.Yes then
-      finish (Verdict.Falsified 0)
-    else begin
-      let reached = ref b0 in
-      let frontier = ref b0 in
-      let rec loop k =
-        match Util.Limits.check limits with
-        | Some r ->
-          finish
-            (Verdict.Undecided
-               (Printf.sprintf "%s (frame %d)" (Util.Limits.resource_name r) (k - 1)))
-        | None ->
-        if k > max_iterations then finish (Verdict.Undecided "iteration limit")
-        else begin
-          let support = Aig.support aig (Cbq.Preimage.substitute model !frontier) in
-          let quantify = List.filter (fun v -> List.mem v input_vars) support in
-          match
-            preimage model checker ~frontier:!frontier ~quantify
-              ~max_enumerations:(max_enumerations - !total_enum)
-          with
-          | None -> finish (enumeration_stop ())
-          | Some (pre, stats) ->
-            total_enum := !total_enum + stats.enumerations;
-            iterations :=
-              { index = k; frontier_size = Aig.size aig pre; enumerations = stats.enumerations }
-              :: !iterations;
-            if Cnf.Checker.satisfiable checker [ init; pre ] = Cnf.Checker.Yes then
-              finish (Verdict.Falsified k)
-            else if Cnf.Checker.satisfiable checker [ pre; Aig.not_ !reached ] = Cnf.Checker.No
-            then finish Verdict.Proved
-            else begin
-              frontier := Aig.and_ aig pre (Aig.not_ !reached);
-              reached := Aig.or_ aig !reached pre;
-              loop (k + 1)
-            end
-        end
-      in
-      loop 1
-    end
+  { reach; enumerations = !used }

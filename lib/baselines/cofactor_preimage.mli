@@ -6,43 +6,39 @@
     assignment of the in-lined formula is {e generalized} by cofactoring
     the circuit with respect to the satisfying {e input} assignment only,
     capturing every state compatible with that input vector at once; the
-    captured set is blocked and enumeration continues until UNSAT. *)
+    captured set is blocked and enumeration continues until UNSAT.
 
-type preimage_stats = {
-  enumerations : int; (* SAT solutions needed *)
-  result_size : int; (* AND nodes of the accumulated pre-image *)
-}
-
-(** [preimage m checker ~frontier ~max_enumerations ~quantify] computes
-    the pre-image of a state set. [quantify] lists the variables to
-    eliminate by enumeration (the model inputs, by default the whole
-    input-support). Returns [None] when the enumeration budget is
-    exhausted. *)
-val preimage :
-  Netlist.Model.t ->
-  Cnf.Checker.t ->
-  frontier:Aig.lit ->
-  quantify:Aig.var list ->
-  max_enumerations:int ->
-  (Aig.lit * preimage_stats) option
-
-type iteration = { index : int; frontier_size : int; enumerations : int }
+    The engine is a backward direction on {!Cbq.Reachability.traverse},
+    so the initial-state and fix-point tests, the budgeted-[Maybe] rules,
+    counterexample traces, invariants and the [reach.*] telemetry are
+    the CBQ traversal's. *)
 
 type result = {
-  verdict : Verdict.t;
-  iterations : iteration list;
-  total_enumerations : int;
-  seconds : float;
+  reach : Cbq.Reachability.result;
+  enumerations : int;  (** SAT solutions enumerated over the whole run *)
 }
 
-val pp_result : Format.formatter -> result -> unit
+(** [enumerate checker ~limit ~used q] finishes the partial
+    quantification [q] by enumerating its [kept] variables: the result
+    has them all [eliminated]. Each solution increments [used]; once
+    [used] reaches [limit] the answer is [Error "enumeration budget"],
+    and a query the governor leaves undecided gives [Error] naming the
+    resource. With nothing kept, [q] comes back unchanged and no SAT
+    call is made. *)
+val enumerate :
+  Cnf.Checker.t ->
+  limit:int ->
+  used:int ref ->
+  Cbq.Quantify.result ->
+  (Cbq.Quantify.result, string) Stdlib.result
 
 (** Backward reachability where every pre-image is computed by
-    enumeration. [limits] is a run-wide governor: polled at every frame,
-    bound to the SAT checker, and named in the [Undecided] message when
-    it trips. *)
+    enumeration over the in-lined frontier's inputs (and any residuals
+    of the bad-state quantification). [config] is the traversal's (trace,
+    iteration limit, and the quantification of the property's inputs);
+    [max_enumerations] bounds the solutions over the whole run. *)
 val run :
-  ?max_iterations:int ->
+  ?config:Cbq.Reachability.config ->
   ?max_enumerations:int ->
   ?limits:Util.Limits.t ->
   Netlist.Model.t ->

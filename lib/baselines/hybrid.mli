@@ -4,33 +4,23 @@
     Each pre-image first runs partial circuit-based quantification with an
     aggressive growth budget — cheap input variables are eliminated
     structurally — and hands only the {e residual} (aborted) variables to
-    the enumeration engine, which therefore explores a decision space with
-    far fewer input variables. *)
+    the enumeration engine ({!Cofactor_preimage.enumerate}), which
+    therefore explores a decision space with far fewer input variables.
+    Like {!Cofactor_preimage} it is a backward direction on
+    {!Cbq.Reachability.traverse}. *)
 
-type iteration = {
-  index : int;
-  eliminated_by_cbq : int; (* inputs removed by circuit quantification *)
-  enumerated : int; (* residual inputs left to the SAT engine *)
-  enumerations : int; (* SAT solutions the residual cost *)
-  frontier_size : int;
+type result = Cofactor_preimage.result = {
+  reach : Cbq.Reachability.result;
+  enumerations : int;  (** SAT solutions enumerated over the whole run *)
 }
 
-type result = {
-  verdict : Verdict.t;
-  iterations : iteration list;
-  total_enumerations : int;
-  seconds : float;
-}
-
-val pp_result : Format.formatter -> result -> unit
-
-(** [run ?quant_config ?max_iterations ?max_enumerations ?limits m]. The
-    default [quant_config] uses a tight growth budget (abort early, let
-    SAT finish), which is the paper's recommended division of labour.
-    [limits] is a run-wide governor as in {!Cofactor_preimage.run}. *)
+(** [run ?config ?max_enumerations ?limits m]. [config] is the traversal's
+    as for {!Cofactor_preimage.run}, except that its quantification runs
+    under a tight growth budget ([1.2·|F| + 16], don't-care phase on):
+    abort early and let SAT finish, the paper's recommended division of
+    labour. *)
 val run :
-  ?quant_config:Cbq.Quantify.config ->
-  ?max_iterations:int ->
+  ?config:Cbq.Reachability.config ->
   ?max_enumerations:int ->
   ?limits:Util.Limits.t ->
   Netlist.Model.t ->

@@ -15,22 +15,18 @@ type detail = {
   pp_frames : Format.formatter -> unit;
 }
 
-let cbq
+(* every engine that runs on the CBQ frame loop: both CBQ directions,
+   and the enumerating ones *)
+let traversal
     (run :
       ?config:Cbq.Reachability.config ->
       ?limits:Util.Limits.t ->
       Netlist.Model.t ->
       Cbq.Reachability.result) config ~limits m =
   let r = run ~config:config.cbq ~limits m in
-  let verdict, trace =
-    match r.Cbq.Reachability.verdict with
-    | Cbq.Reachability.Proved -> (Verdict.Proved, None)
-    | Cbq.Reachability.Falsified { depth; trace } -> (Verdict.Falsified depth, trace)
-    | Cbq.Reachability.Out_of_budget { reason; _ } -> (Verdict.Undecided reason, None)
-  in
   {
-    verdict;
-    trace;
+    verdict = r.Cbq.Reachability.verdict;
+    trace = r.Cbq.Reachability.trace;
     invariant = r.Cbq.Reachability.invariant;
     pp_result = (fun ppf -> Cbq.Reachability.pp_result ppf r);
     pp_frames =
@@ -65,8 +61,8 @@ let plain ?trace pp verdict r =
 
 let table config =
   [
-    ("cbq-bwd", cbq Cbq.Reachability.run config);
-    ("cbq-fwd", cbq Cbq.Forward.run config);
+    ("cbq-bwd", traversal Cbq.Reachability.run config);
+    ("cbq-fwd", traversal Cbq.Forward.run config);
     ("bdd-bwd", fun ~limits m -> bdd (Bdd_mc.backward ~limits m));
     ("bdd-fwd", fun ~limits m -> bdd (Bdd_mc.forward ~limits m));
     ( "bmc",
@@ -78,13 +74,9 @@ let table config =
         let r = Induction.run ~max_k:config.induction_k ~limits m in
         plain ?trace:r.Induction.trace Induction.pp_result r.Induction.verdict r );
     ( "cofactor",
-      fun ~limits m ->
-        let r = Cofactor_preimage.run ~limits m in
-        plain Cofactor_preimage.pp_result r.Cofactor_preimage.verdict r );
-    ( "hybrid",
-      fun ~limits m ->
-        let r = Hybrid.run ~limits m in
-        plain Hybrid.pp_result r.Hybrid.verdict r );
+      traversal (fun ?config ?limits m -> (Cofactor_preimage.run ?config ?limits m).reach) config
+    );
+    ("hybrid", traversal (fun ?config ?limits m -> (Hybrid.run ?config ?limits m).reach) config);
   ]
 
 let engines ?(config = default_config) () =

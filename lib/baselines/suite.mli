@@ -17,8 +17,10 @@ type config = {
   bmc_depth : int;  (** BMC unrolling ceiling *)
   induction_k : int;  (** k-induction ceiling *)
   cbq : Cbq.Reachability.config;
-      (** configuration of both CBQ traversals (trace rebuilding,
-          quantification, sweeping); the other engines ignore it *)
+      (** configuration of the engines on the CBQ frame loop — both CBQ
+          traversals, cofactor and hybrid (trace rebuilding, iteration
+          limit, quantification, sweeping; hybrid tightens the growth
+          budget); the other engines ignore it *)
 }
 
 val default_config : config

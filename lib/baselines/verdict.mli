@@ -1,15 +1,7 @@
-(** The common three-valued outcome every engine reduces to, so the
-    comparison experiments can tabulate heterogeneous engines. *)
+(** {!Cbq.Verdict} under the path the engines, the serve protocol and
+    the bench harness have always used; the type and its constructors
+    are the same. *)
 
-type t =
-  | Proved
-  | Falsified of int (* length of the counterexample found *)
-  | Undecided of string (* resource or method limit, with the reason *)
-
-val agrees_with_oracle : t -> safe:bool -> depth:int option -> bool
-
-(** The run-report [verdict] meta value: [proved], [falsified:N] or
-    [undecided]. *)
-val to_meta : t -> string
-
-val pp : Format.formatter -> t -> unit
+include module type of struct
+  include Cbq.Verdict
+end

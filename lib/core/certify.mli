@@ -16,9 +16,16 @@ type failure =
   | Not_initial (* some initial state violates the invariant *)
   | Not_inductive (* an invariant state can leave the invariant *)
   | Not_safe (* an invariant state violates the property *)
+  | Unchecked of string
+      (* the governor stopped a condition's query ([string] names the
+         resource): neither accepted nor rejected *)
 
 val pp_failure : Format.formatter -> failure -> unit
 
-(** [check m ~invariant] — [Ok ()] when [invariant] certifies the model's
-    property. The literal must be over the model's state variables. *)
-val check : Netlist.Model.t -> invariant:Aig.lit -> (unit, failure) result
+(** [check ?limits m ~invariant] — [Ok ()] when [invariant] certifies the
+    model's property. The literal must be over the model's state
+    variables. [limits] (default unlimited) governs the checker's
+    queries; a query it leaves undecided makes the result
+    [Error (Unchecked resource)], never [Ok] and never a rejection. *)
+val check :
+  ?limits:Util.Limits.t -> Netlist.Model.t -> invariant:Aig.lit -> (unit, failure) result

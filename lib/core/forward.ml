@@ -35,8 +35,9 @@ let image env ~init ~bad =
             (fun v -> List.mem v state_vars || List.mem v input_vars || List.mem v extra_vars)
             (Aig.support aig product)
         in
-        Quantify.all ~config:env.Reachability.quant ~bank:env.Reachability.bank aig
-          env.Reachability.checker ~prng:env.Reachability.prng product ~vars:to_quantify);
+        Ok
+          (Quantify.all ~config:env.Reachability.quant ~bank:env.Reachability.bank aig
+             env.Reachability.checker ~prng:env.Reachability.prng product ~vars:to_quantify));
     rebase = (fun lit -> Aig.compose aig lit ~subst:unprime);
     certificate = Fun.id;
   }

@@ -1,8 +1,3 @@
-type verdict =
-  | Proved
-  | Falsified of { depth : int; trace : Trace.t option }
-  | Out_of_budget of { reason : string; frames : int }
-
 (* Per-frame accounting. The iteration span is recorded from the step
    stopwatch already running (the loop is tail-recursive, so a [with_span]
    wrapper would nest and double-count). *)
@@ -24,7 +19,8 @@ type iteration = {
 }
 
 type result = {
-  verdict : verdict;
+  verdict : Verdict.t;
+  trace : Trace.t option;
   iterations : iteration list;
   total_seconds : float;
   peak_frontier : int;
@@ -63,30 +59,16 @@ let default =
     seed = 1;
   }
 
-let pp_verdict ppf = function
-  | Proved -> Format.pp_print_string ppf "PROVED"
-  | Falsified { depth; _ } -> Format.fprintf ppf "FALSIFIED (depth %d)" depth
-  | Out_of_budget { reason; frames } ->
-    Format.fprintf ppf "UNDECIDED (%s after %d frames)" reason frames
-
 let pp_result ppf r =
-  Format.fprintf ppf "%a  iterations=%d peak-frontier=%d sat-queries=%d %.3fs" pp_verdict
+  Format.fprintf ppf "%a  iterations=%d peak-frontier=%d sat-queries=%d %.3fs" Verdict.pp
     r.verdict (List.length r.iterations) r.peak_frontier r.sat_queries r.total_seconds
 
 (* decide exactly: containment and intersection tests must not be budgeted
    per query. A run-wide governor can still leave them [Maybe] — the caller
-   must then degrade to [Out_of_budget], never treat the answer as No. *)
+   must then degrade to [Undecided], never treat the answer as No. *)
 let exact_answer checker lits =
   Cnf.Checker.set_conflict_limit checker None;
   Cnf.Checker.satisfiable checker lits
-
-(* Why a certification query came back [Maybe]: the tripped resource, or
-   the conflict pool when it is merely dry (a dry pool only trips once a
-   query actually draws from it). *)
-let budget_reason limits =
-  match Util.Limits.exhausted limits with
-  | Some r -> Util.Limits.resource_name r
-  | None -> Util.Limits.resource_name Util.Limits.Conflicts
 
 (* Find the exact counterexample depth at or above [from_depth] (the
    reached-set don't-care option can make the traversal's hit iteration a
@@ -121,10 +103,23 @@ type env = {
 type direction = {
   initial : Aig.lit;
   target : Aig.lit;
-  step : Aig.lit -> extra_vars:Aig.var list -> Quantify.result;
+  step : Aig.lit -> extra_vars:Aig.var list -> (Quantify.result, string) Stdlib.result;
   rebase : Aig.lit -> Aig.lit;
   certificate : Aig.lit -> Aig.lit;
 }
+
+(* Rename the residual model variables of a quantification result to
+   private auxiliary variables, so they cannot collide with the next
+   frame's variables. Returns the renamed literal and the new variables. *)
+let rename_residuals aig ~model_vars lit kept =
+  let renaming =
+    List.filter_map (fun v -> if List.mem v model_vars then Some (v, Aig.fresh_var aig) else None) kept
+  in
+  let lit =
+    if renaming = [] then lit
+    else Aig.compose aig lit ~subst:(fun v -> Option.map (Aig.var aig) (List.assoc_opt v renaming))
+  in
+  (lit, List.map snd renaming)
 
 let traverse ~config ~limits model make_direction =
   let watch = Util.Stopwatch.start () in
@@ -153,9 +148,10 @@ let traverse ~config ~limits model make_direction =
     iterations := it :: !iterations
   in
   let aborted_acc = ref [] in
-  let finish ?invariant verdict =
+  let finish ?trace ?invariant verdict =
     {
       verdict;
+      trace;
       iterations = List.rev !iterations;
       total_seconds = Util.Stopwatch.elapsed watch;
       peak_frontier = !peak;
@@ -165,7 +161,8 @@ let traverse ~config ~limits model make_direction =
     }
   in
   (* the bad states over the state variables, property inputs (if any)
-     quantified away *)
+     quantified away; a kept one is renamed like a frame's residual, or
+     the first step would read it as its own input *)
   let bad_raw = Aig.not_ model.Netlist.Model.property in
   let input_vars = Netlist.Model.input_vars model in
   let model_vars = Netlist.Model.state_vars model @ input_vars in
@@ -173,37 +170,38 @@ let traverse ~config ~limits model make_direction =
   let bad_result =
     Quantify.all ~config:config.quant ~bank aig checker ~prng bad_raw ~vars:bad_inputs
   in
-  let bad = bad_result.Quantify.lit in
-  let bad_clean = bad_result.Quantify.kept = [] in
+  let bad, bad_aux =
+    rename_residuals aig ~model_vars bad_result.Quantify.lit bad_result.Quantify.kept
+  in
   aborted_acc := bad_result.Quantify.kept;
   let dir = make_direction { model; checker; prng; bank; quant = config.quant } ~init ~bad in
   peak := Aig.size aig dir.initial;
+  let undecided reason = finish (Verdict.Undecided reason) in
   let falsified hit_iteration =
     if config.make_trace || config.use_reached_dc then
       match
         find_cex model checker ~from_depth:hit_iteration
           ~limit:(hit_iteration + config.max_iterations + 64)
       with
-      | Some (d, t) -> Falsified { depth = d; trace = (if config.make_trace then Some t else None) }
+      | Some (d, t) ->
+        finish ?trace:(if config.make_trace then Some t else None) (Verdict.Falsified d)
       | None -> (
         (* with the reached-set don't-care the hit iteration is only a
            lower bound on the depth; if the governor kept the depth scan
            from confirming it, reporting it would risk a wrong depth —
-           degrade to [Out_of_budget] instead *)
+           degrade to [Undecided] instead *)
         match Util.Limits.exhausted limits with
-        | Some r when config.use_reached_dc ->
-          Out_of_budget { reason = Util.Limits.resource_name r; frames = hit_iteration }
-        | Some _ | None -> Falsified { depth = hit_iteration; trace = None })
-    else Falsified { depth = hit_iteration; trace = None }
+        | Some r when config.use_reached_dc -> undecided (Util.Limits.resource_name r)
+        | Some _ | None -> finish (Verdict.Falsified hit_iteration))
+    else finish (Verdict.Falsified hit_iteration)
   in
   match exact_answer checker [ init; bad ] with
-  | Cnf.Checker.Yes -> finish (falsified 0)
-  | Cnf.Checker.Maybe ->
-    finish (Out_of_budget { reason = budget_reason limits; frames = 0 })
+  | Cnf.Checker.Yes -> falsified 0
+  | Cnf.Checker.Maybe -> undecided (Util.Limits.maybe_reason limits)
   | Cnf.Checker.No -> begin
     let reached = ref dir.initial in
     let frontier = ref dir.initial in
-    let aux_vars = ref [] in
+    let aux_vars = ref bad_aux in
     let rec loop k =
       (* anytime behaviour: every frame starts with a governor poll (the
          AIG grows monotonically, so node-ceiling checks belong here) and
@@ -211,28 +209,24 @@ let traverse ~config ~limits model make_direction =
       match Util.Limits.check_aig_nodes limits (Aig.num_nodes aig) with
       | Some r ->
         Obs.Trace_events.instant_args "reach.limit_stop" "frame" k;
-        finish (Out_of_budget { reason = Util.Limits.resource_name r; frames = k - 1 })
+        undecided (Util.Limits.resource_name r)
       | None ->
-      if k > config.max_iterations then
-        finish (Out_of_budget { reason = "iteration limit"; frames = k - 1 })
+      if k > config.max_iterations then undecided "iteration limit"
       else begin
         let step_watch = Util.Stopwatch.start () in
         Obs.Trace_events.begin_args "reach.frame" "frame" k;
-        let q = dir.step !frontier ~extra_vars:!aux_vars in
+        match dir.step !frontier ~extra_vars:!aux_vars with
+        | Error reason ->
+          Obs.Trace_events.end_ "reach.frame";
+          Obs.Trace_events.instant_args "reach.limit_stop" "frame" k;
+          undecided reason
+        | Ok q ->
         aborted_acc := q.Quantify.kept @ !aborted_acc;
-        (* residual model variables must not collide with the next frame's
-           variables: rename them to private auxiliary variables *)
-        let residual = List.filter (fun v -> List.mem v model_vars) q.Quantify.kept in
-        let renaming = List.map (fun v -> (v, Aig.fresh_var aig)) residual in
-        let new_frontier =
-          if renaming = [] then q.Quantify.lit
-          else
-            Aig.compose aig q.Quantify.lit ~subst:(fun v ->
-                Option.map (Aig.var aig) (List.assoc_opt v renaming))
+        let new_frontier, renamed =
+          rename_residuals aig ~model_vars q.Quantify.lit q.Quantify.kept
         in
         aux_vars :=
-          List.map snd renaming
-          @ List.filter (fun v -> not (List.mem v q.Quantify.eliminated)) !aux_vars;
+          renamed @ List.filter (fun v -> not (List.mem v q.Quantify.eliminated)) !aux_vars;
         let new_frontier = dir.rebase new_frontier in
         let new_frontier =
           if config.sweep_frontier then
@@ -267,14 +261,14 @@ let traverse ~config ~limits model make_direction =
         | Cnf.Checker.Yes ->
           record ~reached_size:(Aig.size aig !reached);
           Obs.Trace_events.instant_args "reach.falsified" "frame" k;
-          finish (falsified k)
+          falsified k
         | Cnf.Checker.Maybe ->
           (* the frontier-meets-target test is the falsification
              certificate: undecided means neither this frame's hit nor any
              later Proved can be trusted — stop with the anytime verdict *)
           record ~reached_size:(Aig.size aig !reached);
           Obs.Trace_events.instant_args "reach.limit_stop" "frame" k;
-          finish (Out_of_budget { reason = budget_reason limits; frames = k })
+          undecided (Util.Limits.maybe_reason limits)
         | Cnf.Checker.No -> (
           let no_new = exact_answer checker [ new_frontier; Aig.not_ !reached ] in
           let reached' = Aig.or_ aig !reached new_frontier in
@@ -284,14 +278,14 @@ let traverse ~config ~limits model make_direction =
             (* without residual variables the fix-point yields an
                inductive invariant: a checkable certificate *)
             let invariant =
-              if bad_clean && !aux_vars = [] then Some (dir.certificate reached') else None
+              if bad_aux = [] && !aux_vars = [] then Some (dir.certificate reached') else None
             in
             Obs.Trace_events.instant_args "reach.proved" "frame" k;
-            finish ?invariant Proved
+            finish ?invariant Verdict.Proved
           | Cnf.Checker.Maybe ->
             (* an undecided fixpoint test can never be read as closure *)
             Obs.Trace_events.instant_args "reach.limit_stop" "frame" k;
-            finish (Out_of_budget { reason = budget_reason limits; frames = k })
+            undecided (Util.Limits.maybe_reason limits)
           | Cnf.Checker.Yes ->
             (* onion ring: keep only the genuinely new states in the next
                frontier so a step never re-derives old ones *)
@@ -312,8 +306,9 @@ let backward env ~init ~bad =
     target = init;
     step =
       (fun frontier ~extra_vars ->
-        Preimage.compute ~config:env.quant ~bank:env.bank env.model env.checker ~prng:env.prng
-          ~frontier ~extra_vars);
+        Ok
+          (Preimage.compute ~config:env.quant ~bank:env.bank env.model env.checker
+             ~prng:env.prng ~frontier ~extra_vars));
     rebase = Fun.id;
     certificate = Aig.not_;
   }

@@ -13,15 +13,6 @@
     existentially by every containment test, and retried at later
     iterations. *)
 
-type verdict =
-  | Proved (* fix-point without touching the initial states *)
-  | Falsified of { depth : int; trace : Trace.t option }
-  | Out_of_budget of { reason : string; frames : int }
-      (* anytime answer: the iteration limit or a {!Util.Limits} resource
-         ([reason] names it) stopped the traversal after completing
-         [frames] pre-image frames. Never wrong — a run that cannot
-         certify its answer within budget lands here instead. *)
-
 type iteration = {
   index : int; (* 1-based pre-image count *)
   frontier_size : int; (* AND nodes of the new frontier *)
@@ -33,7 +24,13 @@ type iteration = {
 }
 
 type result = {
-  verdict : verdict;
+  verdict : Verdict.t;
+  (* [Undecided reason]: the anytime answer when the iteration limit, a
+     {!Util.Limits} resource or a step's own budget ([reason] names it)
+     stopped the traversal; [iterations] holds the frames completed
+     before. Never wrong — a run that cannot certify its answer within
+     budget lands here instead. *)
+  trace : Trace.t option; (* on [Falsified], when [make_trace] asked for one *)
   iterations : iteration list;
   total_seconds : float;
   peak_frontier : int;
@@ -65,7 +62,6 @@ type config = {
 
 val default : config
 
-val pp_verdict : Format.formatter -> verdict -> unit
 val pp_result : Format.formatter -> result -> unit
 
 (** [run ?config ?limits m] — verify the model's safety property.
@@ -75,7 +71,7 @@ val pp_result : Format.formatter -> result -> unit
     ceiling), binds it to the shared SAT checker (conflict pool) and the
     sweeping stack (BDD node pool), and degrades gracefully — frames
     completed before the trip are kept, the SAT-expensive optimizations
-    fall back to naive forms, and the verdict becomes {!Out_of_budget}
+    fall back to naive forms, and the verdict becomes [Undecided]
     naming the tripped resource unless the run already holds a definite
     answer. *)
 val run : ?config:config -> ?limits:Util.Limits.t -> Netlist.Model.t -> result
@@ -95,9 +91,11 @@ type env = {
 type direction = {
   initial : Aig.lit;  (** frame-0 frontier and reached set *)
   target : Aig.lit;  (** a frontier meeting it is a counterexample *)
-  step : Aig.lit -> extra_vars:Aig.var list -> Quantify.result;
+  step : Aig.lit -> extra_vars:Aig.var list -> (Quantify.result, string) Stdlib.result;
       (** one frame: the frontier's successor set, before renaming, with
-          [extra_vars] (residuals of earlier frames) also quantified *)
+          [extra_vars] (residuals of earlier frames) also quantified.
+          [Error reason] ends the run [Undecided reason] with the frames
+          completed so far (a step with a budget of its own). *)
   rebase : Aig.lit -> Aig.lit;
       (** applied after residual renaming: map the step's result back
           onto the current-state variables *)
@@ -106,15 +104,22 @@ type direction = {
 }
 
 (** [traverse ~config ~limits m make_direction] quantifies the property
-    inputs out of the bad states, builds the direction from them and the
-    initial states, and runs the frame loop: step, then SAT-test
-    frontier ∧ target (a counterexample) and frontier ∧ ¬reached (a
-    fix-point when unsatisfiable). Renaming, the depth scan, the
-    budgeted-[Maybe] rules and the telemetry are the same for every
-    direction. *)
+    inputs out of the bad states (renaming any it keeps, like a frame's
+    residuals), builds the direction from them and the initial states,
+    and runs the frame loop: step, then SAT-test frontier ∧ target (a
+    counterexample) and frontier ∧ ¬reached (a fix-point when
+    unsatisfiable). Renaming, the depth scan, the budgeted-[Maybe] rules
+    and the telemetry are the same for every direction. *)
 val traverse :
   config:config ->
   limits:Util.Limits.t ->
   Netlist.Model.t ->
   (env -> init:Aig.lit -> bad:Aig.lit -> direction) ->
   result
+
+(** The paper's backward direction, which {!run} traverses: start from
+    the bad states, step by {!Preimage.compute} (in-lining, then
+    quantification of the inputs and [extra_vars] under [env.quant]),
+    stop on meeting the initial states; the complement of the reached
+    set is the invariant. Other backward engines wrap its [step]. *)
+val backward : env -> init:Aig.lit -> bad:Aig.lit -> direction

@@ -49,6 +49,8 @@ let resource_name = function
 
 let pp_resource ppf r = Format.pp_print_string ppf (resource_name r)
 
+let maybe_reason t = resource_name (Option.value (Atomic.get t.tripped) ~default:Conflicts)
+
 let trip t r =
   if Atomic.get t.tripped = None && Atomic.compare_and_set t.tripped None (Some r) then
     t.notify r

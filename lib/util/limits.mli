@@ -116,6 +116,11 @@ val elapsed : t -> float
 val resource_name : resource -> string
 val pp_resource : Format.formatter -> resource -> unit
 
+(** Why a query under this governor answered [Maybe]: the tripped
+    resource's name, or the conflict pool's when the pool is dry but has
+    not tripped yet (a dry pool trips only once a query draws from it). *)
+val maybe_reason : t -> string
+
 (** [set_notify t f] installs a callback fired exactly once per
     governor, on the first fatal trip ({!Bdd_nodes} included when
     promoted via {!trip}). The observability layer uses it to emit

@@ -176,14 +176,31 @@ let test_induction_without_simple_path () =
   | Baselines.Verdict.Proved | Baselines.Verdict.Undecided _ -> ()
   | Baselines.Verdict.Falsified _ -> Alcotest.fail "lfsr is safe"
 
-(* ---------- cofactor pre-image ---------- *)
+(* ---------- cofactor pre-image and hybrid ---------- *)
+
+(* the enumerating engines run on the CBQ frame loop, so their answers
+   are checkable like CBQ's: a counterexample replays with the verdict's
+   length, a proof's invariant certifies *)
+let expect_checkable name model status (r : Cbq.Reachability.result) =
+  expect_verdict name status r.verdict;
+  (match (r.verdict, r.trace) with
+  | Baselines.Verdict.Falsified d, Some t ->
+    check bool (name ^ " trace replays") true (Cbq.Trace.check model t);
+    check int (name ^ " trace length") d (Cbq.Trace.length t)
+  | Baselines.Verdict.Falsified _, None -> Alcotest.fail (name ^ ": missing trace")
+  | (Baselines.Verdict.Proved | Baselines.Verdict.Undecided _), _ -> ());
+  match (r.verdict, r.invariant) with
+  | Baselines.Verdict.Proved, Some invariant ->
+    check bool (name ^ " certificate") true (Cbq.Certify.check model ~invariant = Ok ())
+  | Baselines.Verdict.Proved, None -> Alcotest.fail (name ^ ": proved without a certificate")
+  | (Baselines.Verdict.Falsified _ | Baselines.Verdict.Undecided _), _ -> ()
 
 let test_cofactor_oracles () =
   List.iter
     (fun (name, param) ->
       let model, status = Circuits.Registry.build name param in
       let r = Baselines.Cofactor_preimage.run model in
-      expect_verdict ("cofactor " ^ name) status r.Baselines.Cofactor_preimage.verdict)
+      expect_checkable ("cofactor " ^ name) model status r.reach)
     families
 
 let test_cofactor_preimage_matches_cbq () =
@@ -197,53 +214,96 @@ let test_cofactor_preimage_matches_cbq () =
   let cbq = Cbq.Preimage.compute model checker ~prng ~frontier:bad ~extra_vars:[] in
   check bool "cbq fully quantified" true (cbq.Cbq.Preimage.kept = []);
   let input_vars = Netlist.Model.input_vars model in
-  let support =
-    Aig.support aig (Cbq.Preimage.substitute model bad)
-  in
-  let quantify = List.filter (fun v -> List.mem v input_vars) support in
+  let inlined = Cbq.Preimage.substitute model bad in
+  let kept = List.filter (fun v -> List.mem v input_vars) (Aig.support aig inlined) in
+  let used = ref 0 in
   match
-    Baselines.Cofactor_preimage.preimage model checker ~frontier:bad ~quantify
-      ~max_enumerations:1_000
+    Baselines.Cofactor_preimage.enumerate checker ~limit:1_000 ~used
+      { lit = inlined; eliminated = []; kept; reports = [] }
   with
-  | None -> Alcotest.fail "enumeration should finish"
-  | Some (enumerated, stats) ->
-    check bool "enumeration used solutions" true (stats.Baselines.Cofactor_preimage.enumerations > 0);
-    (match Cnf.Checker.equal checker enumerated cbq.Cbq.Preimage.lit with
+  | Error why -> Alcotest.fail ("enumeration should finish: " ^ why)
+  | Ok enumerated ->
+    check bool "enumeration used solutions" true (!used > 0);
+    check bool "every input eliminated" true
+      (enumerated.kept = [] && List.sort compare enumerated.eliminated = List.sort compare kept);
+    (match Cnf.Checker.equal checker enumerated.lit cbq.Cbq.Preimage.lit with
     | Cnf.Checker.Yes -> ()
     | Cnf.Checker.No | Cnf.Checker.Maybe -> Alcotest.fail "pre-images differ")
 
 let test_cofactor_budget () =
   let model, _ = Circuits.Registry.build "arbiter" (Some 4) in
   let r = Baselines.Cofactor_preimage.run ~max_enumerations:1 model in
-  match r.Baselines.Cofactor_preimage.verdict with
-  | Baselines.Verdict.Undecided _ -> ()
+  match r.reach.verdict with
+  | Baselines.Verdict.Undecided why -> check Alcotest.string "names the budget" "enumeration budget" why
   | Baselines.Verdict.Proved ->
     (* a 1-enumeration budget can only succeed if the bad set was empty *)
-    check int "only possible with zero enumerations" 0
-      r.Baselines.Cofactor_preimage.total_enumerations
+    check int "only possible with zero enumerations" 0 r.enumerations
   | Baselines.Verdict.Falsified _ -> Alcotest.fail "arbiter is safe"
-
-(* ---------- hybrid ---------- *)
 
 let test_hybrid_oracles () =
   List.iter
     (fun (name, param) ->
       let model, status = Circuits.Registry.build name param in
       let r = Baselines.Hybrid.run model in
-      expect_verdict ("hybrid " ^ name) status r.Baselines.Hybrid.verdict)
+      expect_checkable ("hybrid " ^ name) model status r.reach)
     families
 
 let test_hybrid_division_of_labour () =
   let model, _ = Circuits.Registry.build "arbiter" (Some 4) in
   let r = Baselines.Hybrid.run model in
-  check verdict_t "proved" Baselines.Verdict.Proved r.Baselines.Hybrid.verdict;
-  (* the iteration log partitions the inputs between CBQ and enumeration *)
-  let n_inputs = 4 in
+  check verdict_t "proved" Baselines.Verdict.Proved r.reach.verdict;
+  (* CBQ takes the cheap inputs, so enumeration needs no more solutions
+     than pure enumeration does, and finishes every frame *)
+  let pure, _ = Circuits.Registry.build "arbiter" (Some 4) in
+  let c = Baselines.Cofactor_preimage.run pure in
+  check bool "no more enumerations than pure enumeration" true
+    (r.enumerations <= c.enumerations);
   List.iter
-    (fun it ->
-      check bool "partition within the input count" true
-        (it.Baselines.Hybrid.eliminated_by_cbq + it.Baselines.Hybrid.enumerated <= n_inputs))
-    r.Baselines.Hybrid.iterations
+    (fun it -> check int "nothing left unquantified" 0 it.Cbq.Reachability.kept_inputs)
+    r.reach.iterations
+
+(* ---------- the whole suite ---------- *)
+
+(* A property that reads an input: latches s1, s2 both load x, and the
+   bad states are s1 ∧ s2 ∧ ¬x, reached at depth 1 (x = 1 then 0). When
+   the bad-state quantification keeps x, the kept copy must not become
+   frame 1's own input, or the first pre-image computes ∃x.¬P(δ(s,x),x)
+   = false and the traversal proves an unsafe model. *)
+let property_input_model () =
+  let b = Netlist.Builder.create "property-input" in
+  let aig = Netlist.Builder.aig b in
+  let x = Netlist.Builder.input b in
+  let s1 = Netlist.Builder.latch b ~init:false in
+  let s2 = Netlist.Builder.latch b ~init:false in
+  Netlist.Builder.connect b s1 x;
+  Netlist.Builder.connect b s2 x;
+  Netlist.Builder.set_property b (Aig.not_ (Aig.and_list aig [ s1; s2; Aig.not_ x ]));
+  Netlist.Builder.finish b
+
+let test_property_input () =
+  let zero_budget =
+    {
+      Baselines.Suite.default_config with
+      cbq =
+        {
+          Cbq.Reachability.default with
+          quant = { Cbq.Quantify.default with growth_limit = 0.; growth_slack = 0 };
+        };
+    }
+  in
+  List.iter
+    (fun (label, config) ->
+      List.iter
+        (fun (e : Baselines.Suite.engine) ->
+          let model = property_input_model () in
+          let verdict, trace = e.run ~limits:Util.Limits.unlimited model in
+          let name = Printf.sprintf "%s %s" e.name label in
+          check verdict_t name (Baselines.Verdict.Falsified 1) verdict;
+          Option.iter
+            (fun t -> check bool (name ^ " trace replays") true (Cbq.Trace.check model t))
+            trace)
+        (Baselines.Suite.engines ~config ()))
+    [ ("default", Baselines.Suite.default_config); ("zero growth budget", zero_budget) ]
 
 let () =
   Alcotest.run "baselines"
@@ -280,4 +340,5 @@ let () =
           Alcotest.test_case "vs oracles" `Slow test_hybrid_oracles;
           Alcotest.test_case "division of labour" `Quick test_hybrid_division_of_labour;
         ] );
+      ("suite", [ Alcotest.test_case "property reads an input" `Quick test_property_input ]);
     ]

@@ -360,17 +360,17 @@ let test_reachability_oracles () =
       let model, status = Circuits.Registry.build name param in
       let r = Cbq.Reachability.run model in
       match (r.Cbq.Reachability.verdict, status) with
-      | Cbq.Reachability.Proved, Circuits.Registry.Safe -> ()
-      | Cbq.Reachability.Falsified { depth; trace }, Circuits.Registry.Unsafe expected ->
+      | Cbq.Verdict.Proved, Circuits.Registry.Safe -> ()
+      | Cbq.Verdict.Falsified depth, Circuits.Registry.Unsafe expected ->
         check int (name ^ " depth") expected depth;
-        (match trace with
+        (match r.Cbq.Reachability.trace with
         | Some t ->
           check bool (name ^ " trace valid") true (Cbq.Trace.check model t);
           check int (name ^ " trace length") expected (Cbq.Trace.length t)
         | None -> Alcotest.fail (name ^ ": missing trace"))
       | v, _ ->
         Alcotest.fail
-          (Format.asprintf "%s: unexpected verdict %a" name Cbq.Reachability.pp_verdict v))
+          (Format.asprintf "%s: unexpected verdict %a" name Cbq.Verdict.pp v))
     reach_families
 
 let test_reachability_profile () =
@@ -390,7 +390,7 @@ let test_reachability_sweep_frontier_variant () =
   let model, _ = Circuits.Registry.build "fifo-buggy" (Some 2) in
   let r = Cbq.Reachability.run ~config model in
   match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Falsified { depth; _ } -> check int "same verdict with sweeping" 5 depth
+  | Cbq.Verdict.Falsified depth -> check int "same verdict with sweeping" 5 depth
   | _ -> Alcotest.fail "expected falsification"
 
 let test_reachability_naive_variant () =
@@ -399,7 +399,7 @@ let test_reachability_naive_variant () =
   let model, _ = Circuits.Registry.build "accumulator" (Some 3) in
   let r = Cbq.Reachability.run ~config model in
   match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Falsified { depth; _ } -> check int "naive agrees" 3 depth
+  | Cbq.Verdict.Falsified depth -> check int "naive agrees" 3 depth
   | _ -> Alcotest.fail "expected falsification"
 
 let test_reachability_iteration_limit () =
@@ -407,52 +407,74 @@ let test_reachability_iteration_limit () =
   let model, _ = Circuits.Registry.build "counter" (Some 4) in
   let r = Cbq.Reachability.run ~config model in
   match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Out_of_budget _ -> ()
-  | v -> Alcotest.fail (Format.asprintf "expected budget exhaustion, got %a" Cbq.Reachability.pp_verdict v)
+  | Cbq.Verdict.Undecided _ -> ()
+  | v -> Alcotest.fail (Format.asprintf "expected budget exhaustion, got %a" Cbq.Verdict.pp v)
 
 (* ---------- golden traversals ---------- *)
 
-(* Both directions share one frame loop; these pins hold each direction
-   to the verdicts and per-frame profiles (frontier size, eliminated and
-   kept inputs) it produced with its own loop, including the reached-set
-   don't-care and a conflict governor tight enough to degrade the run. *)
+(* Both CBQ directions, cofactor and hybrid share one frame loop; these
+   pins hold each engine to the verdicts and per-frame profiles (frontier
+   size, eliminated and kept inputs) it produced with its own loop,
+   including the reached-set don't-care and a conflict governor tight
+   enough to degrade the run. Every proof must certify and every
+   counterexample must replay. *)
 let golden_traversals =
   [
-    ("bwd", "counter", Some 3, `Plain, "FALSIFIED (depth 7)",
+    ("bwd", "counter", Some 3, `Plain, "FALSIFIED(7)",
      [ (9, 1, 0); (13, 1, 0); (16, 1, 0); (17, 1, 0); (10, 1, 0); (14, 1, 0); (17, 1, 0) ]);
-    ("bwd", "fifo-buggy", Some 2, `Plain, "FALSIFIED (depth 5)",
+    ("bwd", "fifo-buggy", Some 2, `Plain, "FALSIFIED(5)",
      [ (0, 2, 0); (19, 2, 0); (18, 2, 0); (2, 2, 0); (20, 2, 0) ]);
     ("bwd", "counter-even", Some 4, `Plain, "PROVED", [ (0, 1, 0) ]);
     ("bwd", "gray", Some 3, `Plain, "PROVED", [ (0, 1, 0) ]);
-    ("bwd", "shift-pattern", Some 4, `Reached_dc, "FALSIFIED (depth 4)",
+    ("bwd", "shift-pattern", Some 4, `Reached_dc, "FALSIFIED(4)",
      [ (2, 1, 0); (1, 1, 0); (0, 1, 0); (0, 1, 0) ]);
     ("bwd", "arbiter", Some 3, `Reached_dc, "PROVED", [ (4, 3, 0); (0, 3, 0) ]);
     (* the optimization phase runs only over the growth budget, so the
        3-conflict pool lasts to a decision *)
-    ("bwd", "counter", Some 4, `Conflicts 3, "FALSIFIED (depth 15)",
+    ("bwd", "counter", Some 4, `Conflicts 3, "FALSIFIED(15)",
      [ (13, 1, 0); (20, 1, 0); (26, 1, 0); (30, 1, 0); (34, 1, 0); (38, 1, 0); (42, 1, 0);
        (43, 1, 0); (14, 1, 0); (21, 1, 0); (27, 1, 0); (31, 1, 0); (35, 1, 0); (39, 1, 0);
        (43, 1, 0) ]);
     ("bwd", "twin-shift", Some 4, `Conflicts 10, "PROVED", [ (11, 0, 0) ]);
-    ("fwd", "counter", Some 3, `Plain, "FALSIFIED (depth 7)",
+    ("fwd", "counter", Some 3, `Plain, "FALSIFIED(7)",
      [ (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0); (5, 4, 0) ]);
-    ("fwd", "fifo-buggy", Some 2, `Plain, "FALSIFIED (depth 5)",
+    ("fwd", "fifo-buggy", Some 2, `Plain, "FALSIFIED(5)",
      [ (5, 5, 0); (9, 5, 0); (9, 5, 0); (9, 5, 0); (9, 5, 0) ]);
     ("fwd", "counter-even", Some 4, `Plain, "PROVED",
      [ (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0); (7, 5, 0) ]);
     ("fwd", "gray", Some 3, `Plain, "PROVED",
      [ (11, 7, 0); (11, 7, 0); (20, 7, 0); (21, 7, 0); (19, 7, 0); (21, 7, 0); (20, 7, 0);
        (21, 7, 0); (19, 7, 0) ]);
-    ("fwd", "shift-pattern", Some 4, `Reached_dc, "FALSIFIED (depth 4)",
+    ("fwd", "shift-pattern", Some 4, `Reached_dc, "FALSIFIED(4)",
      [ (3, 5, 0); (7, 5, 0); (0, 5, 0); (0, 5, 0) ]);
     ("fwd", "arbiter", Some 3, `Reached_dc, "PROVED",
      [ (9, 9, 0); (8, 9, 0); (4, 9, 0); (0, 9, 0) ]);
     (* the target test asks bad∧image (the backward order); with that
        assumption order the 3-conflict pool lasts to a decision *)
-    ("fwd", "counter", Some 4, `Conflicts 3, "FALSIFIED (depth 15)",
+    ("fwd", "counter", Some 4, `Conflicts 3, "FALSIFIED(15)",
      List.init 15 (fun _ -> (7, 5, 0)));
-    ("fwd", "twin-shift", Some 4, `Conflicts 10, "UNDECIDED (conflict pool after 3 frames)",
+    ("fwd", "twin-shift", Some 4, `Conflicts 10, "UNDECIDED(conflict pool)",
      [ (15, 9, 0); (15, 9, 0); (31, 9, 0) ]);
+    (* cofactor and hybrid are backward directions whose step finishes
+       the pre-image by enumeration, so every frame keeps nothing *)
+    ("cofactor", "counter", Some 3, `Plain, "FALSIFIED(7)",
+     [ (9, 1, 0); (17, 1, 0); (30, 1, 0); (46, 1, 0); (65, 1, 0); (87, 1, 0); (112, 1, 0) ]);
+    ("cofactor", "fifo-buggy", Some 2, `Plain, "FALSIFIED(5)",
+     [ (18, 2, 0); (88, 2, 0); (240, 2, 0); (544, 2, 0); (1118, 2, 0) ]);
+    ("cofactor", "arbiter", Some 3, `Plain, "PROVED", [ (4, 3, 0); (4, 3, 0) ]);
+    ("cofactor", "gray", Some 3, `Plain, "PROVED", [ (0, 1, 0) ]);
+    (* the pool runs dry inside frame 1's enumeration *)
+    ("cofactor", "counter", Some 4, `Conflicts 3, "UNDECIDED(conflict pool)", []);
+    ("hybrid", "counter", Some 3, `Plain, "FALSIFIED(7)",
+     [ (8, 1, 0); (12, 1, 0); (15, 1, 0); (13, 1, 0); (16, 1, 0); (12, 1, 0); (16, 1, 0) ]);
+    ("hybrid", "fifo-buggy", Some 2, `Plain, "FALSIFIED(5)",
+     [ (0, 2, 0); (7, 2, 0); (17, 2, 0); (20, 2, 0); (2, 2, 0) ]);
+    ("hybrid", "arbiter", Some 3, `Plain, "PROVED", [ (4, 3, 0); (4, 3, 0) ]);
+    ("hybrid", "gray", Some 3, `Plain, "PROVED", [ (0, 1, 0) ]);
+    (* hybrid's optimization phase draws on the pool too *)
+    ("hybrid", "counter", Some 4, `Conflicts 3, "UNDECIDED(conflict pool)",
+     [ (12, 1, 0); (19, 1, 0); (25, 1, 0); (29, 1, 0); (33, 1, 0); (37, 1, 0); (41, 1, 0);
+       (53, 1, 0) ]);
   ]
 
 let test_golden_traversals () =
@@ -469,11 +491,17 @@ let test_golden_traversals () =
         | `Conflicts n -> Util.Limits.create ~max_conflicts:n ()
         | `Plain | `Reached_dc -> Util.Limits.unlimited
       in
-      let run = if dir = "fwd" then Cbq.Forward.run else Cbq.Reachability.run in
-      let r = run ~config ~limits model in
+      let r =
+        match dir with
+        | "bwd" -> Cbq.Reachability.run ~config ~limits model
+        | "fwd" -> Cbq.Forward.run ~config ~limits model
+        | "cofactor" -> (Baselines.Cofactor_preimage.run ~config ~limits model).reach
+        | "hybrid" -> (Baselines.Hybrid.run ~config ~limits model).reach
+        | _ -> Alcotest.fail ("unknown engine " ^ dir)
+      in
       let label = Printf.sprintf "%s %s" dir name in
       check Alcotest.string (label ^ " verdict") verdict
-        (Format.asprintf "%a" Cbq.Reachability.pp_verdict r.Cbq.Reachability.verdict);
+        (Format.asprintf "%a" Cbq.Verdict.pp r.Cbq.Reachability.verdict);
       check
         Alcotest.(list (triple int int int))
         (label ^ " frames") frames
@@ -481,13 +509,18 @@ let test_golden_traversals () =
            (fun it ->
              Cbq.Reachability.(it.frontier_size, it.eliminated_inputs, it.kept_inputs))
            r.Cbq.Reachability.iterations);
-      match r.Cbq.Reachability.verdict with
-      | Cbq.Reachability.Proved -> (
-        match r.Cbq.Reachability.invariant with
-        | Some invariant ->
-          check bool (label ^ " certificate") true (Cbq.Certify.check model ~invariant = Ok ())
-        | None -> Alcotest.fail (label ^ ": proved without a certificate"))
-      | Cbq.Reachability.Falsified _ | Cbq.Reachability.Out_of_budget _ -> ())
+      match Cbq.Reachability.(r.verdict, r.invariant, r.trace) with
+      | Cbq.Verdict.Proved, Some invariant, _ ->
+        check bool (label ^ " certificate") true (Cbq.Certify.check model ~invariant = Ok ())
+      | Cbq.Verdict.Proved, None, _ -> Alcotest.fail (label ^ ": proved without a certificate")
+      | Cbq.Verdict.Falsified depth, _, Some t ->
+        check bool (label ^ " trace replays") true (Cbq.Trace.check model t);
+        check int (label ^ " trace length") depth (Cbq.Trace.length t)
+      | Cbq.Verdict.Falsified _, _, None ->
+        (* only a drained pool may keep the depth scan from rebuilding it *)
+        if mode = `Plain || mode = `Reached_dc then
+          Alcotest.fail (label ^ ": falsified without a trace")
+      | Cbq.Verdict.Undecided _, _, _ -> ())
     golden_traversals
 
 let () =

@@ -181,15 +181,15 @@ let test_forward_oracles () =
       let model, status = Circuits.Registry.build name param in
       let r = Cbq.Forward.run model in
       match (r.Cbq.Reachability.verdict, status) with
-      | Cbq.Reachability.Proved, Circuits.Registry.Safe -> ()
-      | Cbq.Reachability.Falsified { depth; trace }, Circuits.Registry.Unsafe expected ->
+      | Cbq.Verdict.Proved, Circuits.Registry.Safe -> ()
+      | Cbq.Verdict.Falsified depth, Circuits.Registry.Unsafe expected ->
         check int (name ^ " depth") expected depth;
-        (match trace with
+        (match r.Cbq.Reachability.trace with
         | Some t -> check bool (name ^ " trace valid") true (Cbq.Trace.check model t)
         | None -> Alcotest.fail (name ^ ": missing trace"))
       | v, _ ->
         Alcotest.fail
-          (Format.asprintf "%s: unexpected forward verdict %a" name Cbq.Reachability.pp_verdict v))
+          (Format.asprintf "%s: unexpected forward verdict %a" name Cbq.Verdict.pp v))
     forward_families
 
 let test_forward_agrees_with_backward () =
@@ -199,12 +199,8 @@ let test_forward_agrees_with_backward () =
       let m2, _ = Circuits.Registry.build name param in
       let f = (Cbq.Forward.run m1).Cbq.Reachability.verdict in
       let b = (Cbq.Reachability.run m2).Cbq.Reachability.verdict in
-      let key = function
-        | Cbq.Reachability.Proved -> "proved"
-        | Cbq.Reachability.Falsified { depth; _ } -> Printf.sprintf "cex%d" depth
-        | Cbq.Reachability.Out_of_budget _ -> "?"
-      in
-      check Alcotest.string (name ^ " directions agree") (key b) (key f))
+      check Alcotest.string (name ^ " directions agree") (Cbq.Verdict.to_meta b)
+        (Cbq.Verdict.to_meta f))
     [ ("counter", Some 3); ("fifo-buggy", Some 2); ("counter-even", Some 4) ]
 
 (* ---------- reached-set don't cares & care simplification ---------- *)
@@ -234,16 +230,15 @@ let test_reached_dc_reachability () =
       let config = { Cbq.Reachability.default with use_reached_dc = true } in
       let r = Cbq.Reachability.run ~config model in
       match (r.Cbq.Reachability.verdict, status) with
-      | Cbq.Reachability.Proved, Circuits.Registry.Safe -> ()
-      | Cbq.Reachability.Falsified { depth; trace }, Circuits.Registry.Unsafe expected ->
+      | Cbq.Verdict.Proved, Circuits.Registry.Safe -> ()
+      | Cbq.Verdict.Falsified depth, Circuits.Registry.Unsafe expected ->
         check int (name ^ " depth with reached-dc") expected depth;
-        (match trace with
+        (match r.Cbq.Reachability.trace with
         | Some t -> check bool (name ^ " trace valid") true (Cbq.Trace.check model t)
         | None -> Alcotest.fail (name ^ ": missing trace"))
       | v, _ ->
         Alcotest.fail
-          (Format.asprintf "%s: wrong verdict with reached-dc: %a" name
-             Cbq.Reachability.pp_verdict v))
+          (Format.asprintf "%s: wrong verdict with reached-dc: %a" name Cbq.Verdict.pp v))
     [ ("counter", Some 3); ("fifo-buggy", Some 2); ("lfsr", Some 4); ("peterson", None) ]
 
 (* ---------- new families ---------- *)
@@ -267,7 +262,7 @@ let test_johnson_family () =
   check bool "validates" true (Netlist.Model.validate m = Ok ());
   check bool "safe under random stimulus" true (simulate_safe m 300 97);
   let r = Cbq.Reachability.run m in
-  check bool "proved by cbq" true (r.Cbq.Reachability.verdict = Cbq.Reachability.Proved)
+  check bool "proved by cbq" true (r.Cbq.Reachability.verdict = Cbq.Verdict.Proved)
 
 let test_tmr_family () =
   let m = Circuits.Families.tmr ~bits:3 in
@@ -275,7 +270,7 @@ let test_tmr_family () =
   check int "three replicas + voter + shadow" (5 * 3) (Netlist.Model.num_latches m);
   check bool "safe under random stimulus" true (simulate_safe m 200 101);
   let r = Cbq.Reachability.run m in
-  check bool "proved by cbq" true (r.Cbq.Reachability.verdict = Cbq.Reachability.Proved)
+  check bool "proved by cbq" true (r.Cbq.Reachability.verdict = Cbq.Verdict.Proved)
 
 let test_tmr_sweep_frontier () =
   (* the replicated structure must also verify under the frontier-sweeping
@@ -284,7 +279,7 @@ let test_tmr_sweep_frontier () =
   let config = { Cbq.Reachability.default with sweep_frontier = true } in
   let r = Cbq.Reachability.run ~config m in
   check bool "proved with frontier sweeping" true
-    (r.Cbq.Reachability.verdict = Cbq.Reachability.Proved)
+    (r.Cbq.Reachability.verdict = Cbq.Verdict.Proved)
 
 let test_cla_cone_semantics () =
   let n = 4 in
@@ -312,7 +307,7 @@ let test_backward_certificates () =
     (fun (name, param) ->
       let model, _ = Circuits.Registry.build name param in
       let r = Cbq.Reachability.run model in
-      check bool (name ^ " proved") true (r.Cbq.Reachability.verdict = Cbq.Reachability.Proved);
+      check bool (name ^ " proved") true (r.Cbq.Reachability.verdict = Cbq.Verdict.Proved);
       match r.Cbq.Reachability.invariant with
       | None -> Alcotest.fail (name ^ ": expected a certificate")
       | Some inv -> (
@@ -326,7 +321,7 @@ let test_forward_certificates () =
     (fun (name, param) ->
       let model, _ = Circuits.Registry.build name param in
       let r = Cbq.Forward.run model in
-      check bool (name ^ " proved") true (r.Cbq.Reachability.verdict = Cbq.Reachability.Proved);
+      check bool (name ^ " proved") true (r.Cbq.Reachability.verdict = Cbq.Verdict.Proved);
       match r.Cbq.Reachability.invariant with
       | None -> Alcotest.fail (name ^ ": expected a certificate")
       | Some inv -> (
@@ -398,8 +393,8 @@ let test_coi_drops_dead_logic () =
   (* the verdict (cex at depth 3) is unchanged *)
   let r = Cbq.Reachability.run reduced in
   (match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Falsified { depth; _ } -> check int "depth preserved" 3 depth
-  | v -> Alcotest.fail (Format.asprintf "%a" Cbq.Reachability.pp_verdict v))
+  | Cbq.Verdict.Falsified depth -> check int "depth preserved" 3 depth
+  | v -> Alcotest.fail (Format.asprintf "%a" Cbq.Verdict.pp v))
 
 let test_coi_tight_models_untouched () =
   List.iter
@@ -492,8 +487,8 @@ let test_trace_minimize_counter () =
      so minimization keeps exactly the enables *)
   let m = Circuits.Families.counter ~bits:3 in
   let r = Cbq.Reachability.run m in
-  match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Falsified { trace = Some t; _ } ->
+  match r.Cbq.Reachability.trace with
+  | Some t ->
     let essential = Cbq.Trace.minimize m t in
     Array.iteri
       (fun k frame ->
@@ -505,8 +500,8 @@ let test_trace_minimize_drops_irrelevant () =
   (* fifo-buggy: the pop input is irrelevant on an all-push overflow run *)
   let m = Circuits.Families.fifo ~buggy:true ~depth_log:2 () in
   let r = Cbq.Reachability.run m in
-  match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Falsified { trace = Some t; _ } ->
+  match r.Cbq.Reachability.trace with
+  | Some t ->
     let essential = Cbq.Trace.minimize m t in
     let kept = Array.fold_left (fun acc f -> acc + List.length f) 0 essential in
     let total = Array.fold_left (fun acc f -> acc + List.length f) 0 t.Cbq.Trace.inputs in
@@ -714,7 +709,7 @@ let test_seq_sweep_tmr () =
   check bool "replicas merged" true (report.Cbq.Seq_sweep.merged_latches >= 8);
   check bool "validates" true (Netlist.Model.validate reduced = Ok ());
   let r = Cbq.Reachability.run reduced in
-  check bool "still proved" true (r.Cbq.Reachability.verdict = Cbq.Reachability.Proved)
+  check bool "still proved" true (r.Cbq.Reachability.verdict = Cbq.Verdict.Proved)
 
 let test_seq_sweep_no_false_merges () =
   (* families with no redundant registers must pass through unchanged and
@@ -727,13 +722,12 @@ let test_seq_sweep_no_false_merges () =
       ignore report;
       let r = Cbq.Reachability.run reduced in
       match (r.Cbq.Reachability.verdict, status) with
-      | Cbq.Reachability.Proved, Circuits.Registry.Safe -> ()
-      | Cbq.Reachability.Falsified { depth; _ }, Circuits.Registry.Unsafe d ->
+      | Cbq.Verdict.Proved, Circuits.Registry.Safe -> ()
+      | Cbq.Verdict.Falsified depth, Circuits.Registry.Unsafe d ->
         check int (name ^ " depth preserved") d depth
       | v, _ ->
         Alcotest.fail
-          (Format.asprintf "%s: verdict changed by seq-sweep: %a" name
-             Cbq.Reachability.pp_verdict v))
+          (Format.asprintf "%s: verdict changed by seq-sweep: %a" name Cbq.Verdict.pp v))
     [ ("counter", Some 3); ("fifo-buggy", Some 2); ("gray", Some 3); ("peterson", None);
       ("lfsr", Some 4); ("accumulator", Some 3) ]
 

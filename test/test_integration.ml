@@ -10,17 +10,12 @@ let bool = Alcotest.bool
 type outcome = P | F of int | U
 
 let run_all ?(bmc_depth = 30) make_model =
-  let cbq =
-    match (Cbq.Reachability.run (make_model ())).Cbq.Reachability.verdict with
-    | Cbq.Reachability.Proved -> P
-    | Cbq.Reachability.Falsified { depth; _ } -> F depth
-    | Cbq.Reachability.Out_of_budget _ -> U
-  in
   let of_verdict = function
-    | Baselines.Verdict.Proved -> P
-    | Baselines.Verdict.Falsified d -> F d
-    | Baselines.Verdict.Undecided _ -> U
+    | Cbq.Verdict.Proved -> P
+    | Cbq.Verdict.Falsified d -> F d
+    | Cbq.Verdict.Undecided _ -> U
   in
+  let cbq = of_verdict (Cbq.Reachability.run (make_model ())).Cbq.Reachability.verdict in
   let bdd = of_verdict (Baselines.Bdd_mc.backward (make_model ())).Baselines.Bdd_mc.verdict in
   let bmc =
     of_verdict (Baselines.Bmc.run ~max_depth:bmc_depth (make_model ())).Baselines.Bmc.verdict
@@ -30,7 +25,8 @@ let run_all ?(bmc_depth = 30) make_model =
   in
   let cof =
     of_verdict
-      (Baselines.Cofactor_preimage.run (make_model ())).Baselines.Cofactor_preimage.verdict
+      (Baselines.Cofactor_preimage.run (make_model ())).Baselines.Cofactor_preimage.reach
+        .Cbq.Reachability.verdict
   in
   [ ("cbq", cbq); ("bdd", bdd); ("bmc", bmc); ("induction", ind); ("cofactor", cof) ]
 
@@ -99,8 +95,8 @@ let test_random_machines_cbq_decides () =
   for seed = 1 to 25 do
     let model = random_machine seed () in
     match (Cbq.Reachability.run model).Cbq.Reachability.verdict with
-    | Cbq.Reachability.Proved | Cbq.Reachability.Falsified _ -> ()
-    | Cbq.Reachability.Out_of_budget { reason; _ } ->
+    | Cbq.Verdict.Proved | Cbq.Verdict.Falsified _ -> ()
+    | Cbq.Verdict.Undecided reason ->
       Alcotest.fail (Printf.sprintf "seed %d undecided: %s" seed reason)
   done
 
@@ -113,13 +109,12 @@ let test_verdicts_survive_aiger_roundtrip () =
       let reread = Netlist.Aiger.read ~name:(name ^ "-reread") (Netlist.Aiger.write model) in
       let r = Cbq.Reachability.run reread in
       match (r.Cbq.Reachability.verdict, status) with
-      | Cbq.Reachability.Proved, Circuits.Registry.Safe -> ()
-      | Cbq.Reachability.Falsified { depth; _ }, Circuits.Registry.Unsafe d ->
+      | Cbq.Verdict.Proved, Circuits.Registry.Safe -> ()
+      | Cbq.Verdict.Falsified depth, Circuits.Registry.Unsafe d ->
         check int (name ^ " depth after roundtrip") d depth
       | v, _ ->
         Alcotest.fail
-          (Format.asprintf "%s: wrong verdict after roundtrip: %a" name
-             Cbq.Reachability.pp_verdict v))
+          (Format.asprintf "%s: wrong verdict after roundtrip: %a" name Cbq.Verdict.pp v))
     [ ("counter", Some 3); ("fifo-buggy", Some 2); ("lfsr", Some 4); ("peterson", None) ]
 
 (* ---------- traces cross-validate across engines ---------- *)
@@ -132,8 +127,8 @@ let test_bmc_trace_on_cbq_model () =
   | Some t ->
     check bool "bmc trace valid" true (Cbq.Trace.check model t);
     let r = Cbq.Reachability.run model in
-    (match r.Cbq.Reachability.verdict with
-    | Cbq.Reachability.Falsified { depth; trace = Some t' } ->
+    (match (r.Cbq.Reachability.verdict, r.Cbq.Reachability.trace) with
+    | Cbq.Verdict.Falsified depth, Some t' ->
       check int "same depth" (Cbq.Trace.length t) depth;
       check bool "cbq trace valid" true (Cbq.Trace.check model t')
     | _ -> Alcotest.fail "cbq should falsify")

@@ -269,12 +269,11 @@ let test_cancel_stops_traversal () =
   Domain.join d;
   let latency = Util.Stopwatch.elapsed watch in
   (match Atomic.get result with
-  | Some { Cbq.Reachability.verdict = Cbq.Reachability.Out_of_budget { reason; _ }; _ } ->
+  | Some { Cbq.Reachability.verdict = Cbq.Verdict.Undecided reason; _ } ->
     check string "names the cancel" "cancelled" reason
   | Some r ->
     Alcotest.fail
-      (Format.asprintf "expected a cancelled run, got %a" Cbq.Reachability.pp_verdict
-         r.Cbq.Reachability.verdict)
+      (Format.asprintf "expected a cancelled run, got %a" Cbq.Verdict.pp r.Cbq.Reachability.verdict)
   | None -> Alcotest.fail "traversal returned nothing");
   check bool "stops within 2 s of the cancel" true (latency < 2.0)
 
@@ -289,11 +288,11 @@ let families =
     ("counter-even", Some 5);
   ]
 
-let agrees name (status : Circuits.Registry.status) (verdict : Cbq.Reachability.verdict) =
+let agrees name (status : Circuits.Registry.status) (verdict : Cbq.Verdict.t) =
   match (verdict, status) with
-  | Cbq.Reachability.Proved, Circuits.Registry.Safe -> ()
-  | Cbq.Reachability.Falsified { depth; _ }, Circuits.Registry.Unsafe d when depth = d -> ()
-  | Cbq.Reachability.Out_of_budget _, _ -> ()
+  | Cbq.Verdict.Proved, Circuits.Registry.Safe -> ()
+  | Cbq.Verdict.Falsified depth, Circuits.Registry.Unsafe d when depth = d -> ()
+  | Cbq.Verdict.Undecided _, _ -> ()
   | _ -> Alcotest.fail (Printf.sprintf "%s: limited verdict disagrees with the oracle" name)
 
 let test_backward_limited_verdicts_sound () =
@@ -326,9 +325,9 @@ let test_expired_deadline_is_anytime () =
   let model, _ = Circuits.Registry.build "counter" (Some 4) in
   let r = Cbq.Reachability.run ~limits:(expired ()) model in
   match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Out_of_budget { reason; frames } ->
+  | Cbq.Verdict.Undecided reason ->
     check string "names the deadline" "deadline" reason;
-    check bool "anytime frame count" true (frames >= 0)
+    check bool "anytime frame count" true (List.length r.Cbq.Reachability.iterations >= 0)
   | _ -> Alcotest.fail "expired run must be undecided"
 
 let test_aig_ceiling_stops_traversal () =
@@ -337,7 +336,7 @@ let test_aig_ceiling_stops_traversal () =
   let limits = Util.Limits.create ~max_aig_nodes:1 () in
   let r = Cbq.Reachability.run ~limits model in
   match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Out_of_budget { reason; _ } ->
+  | Cbq.Verdict.Undecided reason ->
     check string "names the ceiling" "aig node ceiling" reason
   | _ -> Alcotest.fail "ceiling run must be undecided"
 
@@ -360,9 +359,8 @@ let test_baselines_limited_verdicts_sound () =
       run (fun m ->
           (Baselines.Induction.run ~limits:(limits ()) m).Baselines.Induction.verdict);
       run (fun m ->
-          (Baselines.Cofactor_preimage.run ~limits:(limits ()) m)
-            .Baselines.Cofactor_preimage.verdict);
-      run (fun m -> (Baselines.Hybrid.run ~limits:(limits ()) m).Baselines.Hybrid.verdict);
+          (Baselines.Cofactor_preimage.run ~limits:(limits ()) m).reach.Cbq.Reachability.verdict);
+      run (fun m -> (Baselines.Hybrid.run ~limits:(limits ()) m).reach.Cbq.Reachability.verdict);
       run (fun m ->
           (Baselines.Bdd_mc.backward ~limits:(Util.Limits.create ~max_bdd_nodes:40 ()) m)
             .Baselines.Bdd_mc.verdict);
@@ -378,6 +376,23 @@ let test_bdd_engine_names_the_pool () =
   | Baselines.Verdict.Undecided why ->
     check string "verdict names the pool" "bdd node pool" why
   | _ -> Alcotest.fail "tiny bdd pool must leave the verdict undecided"
+
+(* the certificate check under a governor: a query it leaves undecided
+   neither accepts nor rejects, whatever the invariant *)
+let test_certify_cancelled () =
+  let model, _ = Circuits.Registry.build "gray" (Some 3) in
+  let r = Cbq.Reachability.run model in
+  let valid = Option.get r.Cbq.Reachability.invariant in
+  check bool "the invariant certifies" true (Cbq.Certify.check model ~invariant:valid = Ok ());
+  let invalid = Aig.var (Netlist.Model.aig model) (List.hd (Netlist.Model.state_vars model)) in
+  check bool "the other does not" true (Cbq.Certify.check model ~invariant:invalid <> Ok ());
+  let limits = Util.Limits.create () in
+  Util.Limits.cancel limits;
+  List.iter
+    (fun (label, invariant) ->
+      check bool (label ^ " left unchecked") true
+        (Cbq.Certify.check ~limits model ~invariant = Error (Cbq.Certify.Unchecked "cancelled")))
+    [ ("valid", valid); ("invalid", invalid) ]
 
 let () =
   Alcotest.run "limits"
@@ -431,5 +446,6 @@ let () =
           Alcotest.test_case "baselines: limited verdicts sound" `Quick
             test_baselines_limited_verdicts_sound;
           Alcotest.test_case "bdd engine names its pool" `Quick test_bdd_engine_names_the_pool;
+          Alcotest.test_case "certificate check under a cancel" `Quick test_certify_cancelled;
         ] );
     ]

@@ -271,7 +271,7 @@ let test_traversal_provenance () =
   let config = { Cbq.Reachability.default with make_trace = false } in
   let r = Cbq.Reachability.run ~config model in
   (match r.Cbq.Reachability.verdict with
-  | Cbq.Reachability.Falsified _ -> ()
+  | Cbq.Verdict.Falsified _ -> ()
   | _ -> Alcotest.fail "counter ~bits:4 must be falsified");
   let nonzero name = check bool (name ^ " > 0") true (Obs.value_of name > 0) in
   (* per-frame accounting *)
