@@ -113,7 +113,9 @@ type direction = {
    frame's variables. Returns the renamed literal and the new variables. *)
 let rename_residuals aig ~model_vars lit kept =
   let renaming =
-    List.filter_map (fun v -> if List.mem v model_vars then Some (v, Aig.fresh_var aig) else None) kept
+    List.filter_map
+      (fun v -> if List.mem v model_vars then Some (v, Aig.fresh_var aig) else None)
+      kept
   in
   let lit =
     if renaming = [] then lit

@@ -12,12 +12,13 @@
       no trace of the eliminated variables, sweeping and don't-care
       optimization preserve cone semantics;
     - {b differential}: every verification engine (CBQ backward and
-      forward, and the five baselines) runs on its own clone of the
-      model, and all {e decided} verdicts must agree — [Undecided] (and
-      CBQ's [Out_of_budget]) is compatible with anything, so the same
-      oracle fuzzes governor-degradation paths under a tiny
-      {!Util.Limits} budget without false alarms. Counterexample traces
-      are additionally replayed against the model.
+      forward, and the six baselines) runs on its own clone of the
+      model, and all {e decided} verdicts must agree — [Undecided] is
+      compatible with anything, so the same oracle fuzzes
+      governor-degradation paths under a tiny {!Util.Limits} budget
+      without false alarms. Counterexample traces (CBQ, cofactor,
+      hybrid, BMC, induction) are additionally replayed against the
+      model.
 
     Every check is deterministic: fixed engine order, fixed PRNG seeds,
     fresh managers per engine. *)

@@ -234,7 +234,8 @@ let test_cofactor_budget () =
   let model, _ = Circuits.Registry.build "arbiter" (Some 4) in
   let r = Baselines.Cofactor_preimage.run ~max_enumerations:1 model in
   match r.reach.verdict with
-  | Baselines.Verdict.Undecided why -> check Alcotest.string "names the budget" "enumeration budget" why
+  | Baselines.Verdict.Undecided why ->
+    check Alcotest.string "names the budget" "enumeration budget" why
   | Baselines.Verdict.Proved ->
     (* a 1-enumeration budget can only succeed if the bad set was empty *)
     check int "only possible with zero enumerations" 0 r.enumerations
