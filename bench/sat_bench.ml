@@ -102,8 +102,8 @@ let run_rand3sat row ~instances ~vars =
   done;
   record_row row tally !conflicts !decisions !props (Util.Stopwatch.elapsed watch)
 
-(* random 2-SAT around ratio 1: exercises the binary-clause layer and the
-   implication-graph inprocessing end to end *)
+(* random 2-SAT around ratio 1: exercises the binary-clause layer end to
+   end *)
 let run_rand2sat row ~instances ~vars =
   let tally = { sat = 0; unsat = 0; unknown = 0 } in
   let conflicts = ref 0 and decisions = ref 0 and props = ref 0 in

@@ -10,9 +10,23 @@
 
 open Cmdliner
 
+(* A model file the AIGER reader rejects reads as one line:
+   FILE: line N: reason *)
+let read_aiger path =
+  try Ok (Netlist.Aiger.read_file path)
+  with Netlist.Aiger.Parse_error { line; token; reason } ->
+    Error
+      (Printf.sprintf "%s: line %d: %s%s" path line reason
+         (if token = "" then "" else Printf.sprintf ", got %S" token))
+
 let load_model circuit param aag =
   match aag with
-  | Some path -> (Netlist.Aiger.read_file path, None)
+  | Some path -> (
+    match read_aiger path with
+    | Ok model -> (model, None)
+    | Error msg ->
+      Format.eprintf "cbq-mc: %s@." msg;
+      exit 2)
   | None ->
     let model, status = Circuits.Registry.build circuit param in
     (model, Some status)
@@ -1016,10 +1030,20 @@ let batch_cmd =
       exit 2
     end;
     let budget = budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes in
+    (* an unparsable file is reported and skipped; the rest still run *)
+    let parsed =
+      List.filter_map
+        (fun f ->
+          match read_aiger (Filename.concat dir f) with
+          | Ok model -> Some (f, model)
+          | Error msg ->
+            Format.eprintf "cbq-mc: %s@." msg;
+            None)
+        files
+    in
     let specs =
       List.map
-        (fun f ->
-          let model = Netlist.Aiger.read_file (Filename.concat dir f) in
+        (fun (f, model) ->
           {
             Serve.Client.tag = f;
             model_name = Filename.remove_extension f;
@@ -1027,13 +1051,13 @@ let batch_cmd =
             engine;
             budget;
           })
-        files
+        parsed
     in
     let client = connect_client connect in
     let outcomes = Serve.Client.run_batch client specs in
     Serve.Client.close client;
     let ok = ref 0 in
-    List.iter2 (fun f o -> if print_outcome f o then incr ok) files outcomes;
+    List.iter2 (fun (f, _) o -> if print_outcome f o then incr ok) parsed outcomes;
     Format.printf "batch: %d/%d jobs finished@." !ok (List.length files);
     if !ok < List.length files then exit 1
   in

@@ -78,11 +78,9 @@ let search ?(preprocess = false) ?(limits = Util.Limits.unlimited) model ~target
           finish (Verdict.Falsified k) (Some trace) k
         | Cnf.Checker.No -> go (k + 1)
         | Cnf.Checker.Maybe ->
-          let why =
-            match Util.Limits.exhausted limits with
-            | Some r -> Printf.sprintf "%s (depth %d)" (Util.Limits.resource_name r) k
-            | None -> "conflict budget"
-          in
+          (* the depth query has no conflict limit: only the governor
+             answers Maybe *)
+          let why = Printf.sprintf "%s (depth %d)" (Util.Limits.maybe_reason limits) k in
           finish (Verdict.Undecided why) None k
       end
   in

@@ -37,13 +37,8 @@ let run ?(max_k = 50) ?(limits = Util.Limits.unlimited) model =
       seconds = Util.Stopwatch.elapsed watch;
     }
   in
-  (* a budgeted Maybe: name the tripped governor resource when there is
-     one, the per-query conflict budget otherwise *)
-  let undecided_why k =
-    match Util.Limits.exhausted limits with
-    | Some r -> Printf.sprintf "%s (k=%d)" (Util.Limits.resource_name r) k
-    | None -> "conflict budget"
-  in
+  (* no query has a conflict limit: only the governor answers Maybe *)
+  let undecided_why k = Printf.sprintf "%s (k=%d)" (Util.Limits.maybe_reason limits) k in
   let rec round k =
     match Util.Limits.check limits with
     | Some r ->

@@ -87,8 +87,18 @@ let int_field ~lineno token =
 let parse_header ~lineno line =
   match String.split_on_char ' ' (String.trim line) with
   | [ ("aag" | "aig"); m; i; l; o; a ] ->
-    let f = int_field ~lineno in
-    { max_var = f m; ni = f i; nl = f l; no = f o; na = f a }
+    let count token =
+      let n = int_field ~lineno token in
+      if n < 0 then parse_error ~line:lineno ~token "expected a non-negative count";
+      n
+    in
+    (* in field order, so the diagnostic names the first bad count *)
+    let max_var = count m in
+    let ni = count i in
+    let nl = count l in
+    let no = count o in
+    let na = count a in
+    { max_var; ni; nl; no; na }
   | _ -> parse_error ~line:lineno ~token:(String.trim line) "expected 'aag M I L O A' header"
 
 let ints_of_line ~lineno line =
@@ -101,6 +111,14 @@ let read ~name text =
   let lines = Array.of_list lines in
   if Array.length lines = 0 then parse_error ~line:1 ~token:"" "empty document";
   let h = parse_header ~lineno:1 lines.(0) in
+  (* every input, latch, output and AND has a line of its own: bound each
+     count by the document before summing, so the sum cannot overflow *)
+  List.iter
+    (fun n ->
+      if n > Array.length lines then
+        parse_error ~line:1 ~token:(string_of_int n)
+          (Printf.sprintf "header count exceeds the document's %d lines" (Array.length lines)))
+    [ h.ni; h.nl; h.no; h.na ];
   let expect_lines = 1 + h.ni + h.nl + h.no + h.na in
   if Array.length lines < expect_lines then
     parse_error ~line:(Array.length lines) ~token:""

@@ -19,7 +19,8 @@ val write : Model.t -> string
 val write_file : Model.t -> string -> unit
 
 (** [read ~name s] parses an aag document. Raises {!Parse_error} with a
-    line-numbered diagnostic on malformed input. *)
+    line-numbered diagnostic on malformed input, including a negative
+    header count or one larger than the document's line count. *)
 val read : name:string -> string -> Model.t
 
 (** [write_binary m] renders the compact binary ("aig") format: implicit

@@ -424,6 +424,7 @@ module Regress : sig
   type pair = Regress.pair = {
     experiment : string;
     deltas : delta list;
+    metrics : string list;  (** every comparable metric of either side, sorted *)
     meta_diff : (string * string * string) list;
         (** provenance keys whose values disagree: (key, old, new) *)
   }
@@ -490,7 +491,9 @@ module Regress : sig
       directory or an old tree with no report. [--only=PREFIX]
       (repeatable) narrows the diff to flattened metric names under the
       given prefixes, for benches that mix deterministic row counters
-      with scheduling-dependent library counters. The delta listing and verdict go to [out] (default
-      stdout); usage and diagnostics go to [err] (default stderr). *)
+      with scheduling-dependent library counters; prefixes that match
+      no metric of any report pair exit 2. The delta listing and verdict
+      go to [out] (default stdout); usage and diagnostics go to [err]
+      (default stderr). *)
   val main : ?out:Format.formatter -> ?err:Format.formatter -> string array -> int
 end

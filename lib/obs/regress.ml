@@ -22,6 +22,7 @@ type delta = {
 type pair = {
   experiment : string;
   deltas : delta list;
+  metrics : string list; (* every comparable metric of either side *)
   meta_diff : (string * string * string) list; (* key, old, new *)
 }
 
@@ -158,10 +159,12 @@ let diff_dirs ~old_dir ~new_dir =
       (fun f ->
         if List.mem f new_files then begin
           let o = load old_dir f and n = load new_dir f in
+          let names json = List.map (fun (m, _, _) -> m) (metrics_of_report json) in
           Some
             {
               experiment = Filename.remove_extension f;
               deltas = compare_reports o n;
+              metrics = List.sort_uniq compare (names o @ names n);
               meta_diff = meta_mismatches o n;
             }
         end
@@ -270,9 +273,9 @@ let trend labeled =
 
    In-process and formatter-parametric so the exit-code contract (0
    within thresholds / 1 regression / 2 usage error, unreadable
-   directory or empty old tree) and the stdout/stderr split are
-   unit-testable; the bench/regress.ml executable is one line on top
-   of this. *)
+   directory, empty old tree or an --only that matches no metric) and
+   the stdout/stderr split are unit-testable; the bench/regress.ml
+   executable is one line on top of this. *)
 
 let main ?(out = Format.std_formatter) ?(err = Format.err_formatter) argv =
   let exception Quit of int in
@@ -339,11 +342,16 @@ let main ?(out = Format.std_formatter) ?(err = Format.err_formatter) argv =
       match !only with
       | [] -> outcome
       | prefixes ->
-        let keep d = List.exists (fun p -> String.starts_with ~prefix:p d.metric) prefixes in
-        {
-          outcome with
-          pairs = List.map (fun p -> { p with deltas = List.filter keep p.deltas }) outcome.pairs;
-        }
+        let keep metric = List.exists (fun p -> String.starts_with ~prefix:p metric) prefixes in
+        (* a prefix that names no metric gates nothing, like an empty
+           baseline: most likely a typo *)
+        if not (List.exists (fun p -> List.exists keep p.metrics) outcome.pairs) then begin
+          Format.fprintf err "cbq-bench-regress: no metric of either tree starts with %s@."
+            (String.concat " or " (List.rev_map (fun p -> "--only=" ^ p) prefixes));
+          raise (Quit 2)
+        end;
+        let narrow p = { p with deltas = List.filter (fun d -> keep d.metric) p.deltas } in
+        { outcome with pairs = List.map narrow outcome.pairs }
     in
     let threshold = !threshold and time_threshold = !time_threshold in
     Format.fprintf out "%a" (pp_outcome ~threshold ~time_threshold) outcome;

@@ -14,10 +14,6 @@ let obs_gc_runs = Obs.counter "sat.gc.runs"
 let obs_gc_words = Obs.counter "sat.gc.words_reclaimed"
 let obs_db_reductions = Obs.counter "sat.db_reductions"
 let obs_learnt_deleted = Obs.counter "sat.learnt_deleted"
-let obs_inprocess_runs = Obs.counter "sat.inprocess.runs"
-let obs_inprocess_units = Obs.counter "sat.inprocess.units"
-let obs_inprocess_equivs = Obs.counter "sat.inprocess.equivs"
-let obs_inprocess_removed = Obs.counter "sat.inprocess.clauses_removed"
 let obs_solve_span = Obs.span "sat.solve"
 let obs_conflicts_per_call = Obs.histogram "sat.conflicts_per_call"
 let obs_decisions_per_call = Obs.histogram "sat.decisions_per_call"
@@ -41,9 +37,7 @@ let obs_lbd = Obs.histogram "sat.lbd"
    header and the whole arena can be walked without an index.
 
    Binary clauses never enter the arena: [bin.(p)] lists every literal
-   [q] with a clause [(¬p ∨ q)], i.e. the implication p → q. The lists
-   double as the binary implication graph for the SCC inprocessing
-   pass.
+   [q] with a clause [(¬p ∨ q)], i.e. the implication p → q.
 
    Reasons are tagged ints: -1 none/decision; even = [cref lsl 1];
    odd = [(other_lit lsl 1) lor 1] for a binary reason where
@@ -78,7 +72,6 @@ type t = {
   mutable saved_phase : bool array;
   mutable seen : bool array;
   mutable heap_pos : int array;
-  mutable subst : int array; (* var -> representative literal *)
   mutable nvars : int;
   heap : Util.Vec_int.t;
   trail : Util.Vec_int.t;
@@ -93,11 +86,8 @@ type t = {
   mutable confl_bin_a : int; (* binary-conflict literal stash *)
   mutable confl_bin_b : int;
   (* incremental state *)
-  mutable prev_assumptions : int array; (* internal form, last call *)
+  mutable prev_assumptions : int array; (* last call's assumptions *)
   mutable reuse_ok : bool; (* trail still matches prev_assumptions *)
-  mutable bins_dirty : bool; (* new binaries since the last SCC pass *)
-  mutable simp_fixed : int; (* level-0 trail size at last rewrite *)
-  mutable inprocessing : bool;
   (* statistics *)
   mutable decisions : int;
   mutable propagations : int;
@@ -110,10 +100,6 @@ type t = {
   mutable gc_words : int;
   mutable db_reductions : int;
   mutable learnt_deleted : int;
-  mutable inprocess_runs : int;
-  mutable inprocess_units : int;
-  mutable inprocess_equivs : int;
-  mutable inprocess_removed : int;
 }
 
 let var_decay = 1.0 /. 0.95
@@ -137,7 +123,6 @@ let create () =
     saved_phase = Array.make 1 false;
     seen = Array.make 1 false;
     heap_pos = Array.make 1 (-1);
-    subst = Array.make 1 0;
     nvars = 0;
     heap = Util.Vec_int.create ();
     trail = Util.Vec_int.create ();
@@ -153,9 +138,6 @@ let create () =
     confl_bin_b = -1;
     prev_assumptions = [||];
     reuse_ok = false;
-    bins_dirty = false;
-    simp_fixed = 0;
-    inprocessing = true;
     decisions = 0;
     propagations = 0;
     binary_propagations = 0;
@@ -167,22 +149,11 @@ let create () =
     gc_words = 0;
     db_reductions = 0;
     learnt_deleted = 0;
-    inprocess_runs = 0;
-    inprocess_units = 0;
-    inprocess_equivs = 0;
-    inprocess_removed = 0;
   }
 
 let num_vars t = t.nvars
 let ok t = t.ok
-let set_inprocessing t b = t.inprocessing <- b
-
 let set_learnt_budget t n = t.max_learnt <- max 0 n
-
-(* [subst.(v)] is fully resolved (path-compressed) between inprocessing
-   passes, so one lookup maps any external literal to its internal
-   representative. *)
-let subst_lit t l = t.subst.(l lsr 1) lxor (l land 1)
 
 (* ---------- variable order heap (max-heap on activity) ---------- *)
 
@@ -231,19 +202,6 @@ let heap_pop t =
   if not (Util.Vec_int.is_empty t.heap) then heap_down t 0;
   v
 
-let heap_remove t v =
-  let i = t.heap_pos.(v) in
-  if i >= 0 then begin
-    let n = Util.Vec_int.length t.heap in
-    heap_swap t i (n - 1);
-    ignore (Util.Vec_int.pop t.heap);
-    t.heap_pos.(v) <- -1;
-    if i < n - 1 then begin
-      heap_down t i;
-      heap_up t i
-    end
-  end
-
 (* ---------- variables ---------- *)
 
 let grow_arrays t needed =
@@ -259,7 +217,6 @@ let grow_arrays t needed =
     t.levels <- grow_int t.levels 0;
     t.reasons <- grow_int t.reasons (-1);
     t.heap_pos <- grow_int t.heap_pos (-1);
-    t.subst <- grow_int t.subst 0;
     let act' = Array.make cap' 0.0 in
     Array.blit t.activities 0 act' 0 t.nvars;
     t.activities <- act';
@@ -281,7 +238,6 @@ let new_var t =
   t.saved_phase.(v) <- false;
   t.seen.(v) <- false;
   t.heap_pos.(v) <- -1;
-  t.subst.(v) <- v lsl 1;
   t.nvars <- v + 1;
   (* watcher and binary lists for both phases *)
   let nw = 2 * t.nvars in
@@ -379,15 +335,10 @@ let delete_clause t c =
   end
   else t.n_long <- t.n_long - 1
 
-(* raw binary insertion; callers maintain [n_bin]/[bins_dirty] *)
-let bin_push t a b =
-  Util.Vec_int.push t.bin.(a lxor 1) b;
-  Util.Vec_int.push t.bin.(b lxor 1) a
-
 let add_bin t a b =
-  bin_push t a b;
-  t.n_bin <- t.n_bin + 1;
-  t.bins_dirty <- true
+  Util.Vec_int.push t.bin.(a lxor 1) b;
+  Util.Vec_int.push t.bin.(b lxor 1) a;
+  t.n_bin <- t.n_bin + 1
 
 (* ---------- assignment ---------- *)
 
@@ -395,8 +346,9 @@ let enqueue t l reason =
   let v = l lsr 1 in
   t.assigns.(v) <- (l land 1) lxor 1;
   t.levels.(v) <- Util.Vec_int.length t.trail_lim;
-  (* level-0 facts never need their reason: keeps GC remapping away
-     from clauses that inprocessing may later delete *)
+  (* level-0 facts need no reason (analysis never looks at level 0), so
+     none is kept: every clause-tagged reason on the trail then belongs
+     to a locked clause above level 0, which GC's remapping relies on *)
   t.reasons.(v) <- (if Util.Vec_int.is_empty t.trail_lim then -1 else reason);
   Util.Vec_int.push t.trail l
 
@@ -723,47 +675,44 @@ let reduce_learnts t =
 
 (* ---------- clause addition ---------- *)
 
-(* Normalize and add one clause at level 0. The literals must already
-   be in internal (substituted) form. Returns [false] iff the database
-   became unsatisfiable. *)
-let add_at_level0 t lits ~learnt ~lbd =
-  let sorted = List.sort_uniq compare lits in
-  let tautology =
-    let rec go = function
-      | a :: (b :: _ as rest) -> a lxor 1 = b || go rest
-      | _ -> false
-    in
-    go sorted
-  in
-  let satisfied = List.exists (fun l -> value_lit t l = 1) sorted in
-  if tautology || satisfied then true
-  else begin
-    let remaining = List.filter (fun l -> value_lit t l <> 0) sorted in
-    match remaining with
-    | [] ->
-      t.ok <- false;
-      false
-    | [ u ] ->
-      enqueue t u (-1);
-      if propagate t >= 0 then begin
-        t.ok <- false;
-        false
-      end
-      else true
-    | [ a; b ] ->
-      add_bin t a b;
-      true
-    | _ ->
-      ignore (new_clause t (Array.of_list remaining) ~learnt ~lbd);
-      true
-  end
-
+(* Add one problem clause at level 0: duplicate literals collapse,
+   tautologies and satisfied clauses drop, false literals go. Returns
+   [false] iff the database became unsatisfiable. *)
 let add_clause t lits =
   if not t.ok then false
   else begin
     cancel_until t 0;
     t.reuse_ok <- false;
-    add_at_level0 t (List.map (fun l -> subst_lit t l) lits) ~learnt:false ~lbd:0
+    let sorted = List.sort_uniq compare lits in
+    let tautology =
+      let rec go = function
+        | a :: (b :: _ as rest) -> a lxor 1 = b || go rest
+        | _ -> false
+      in
+      go sorted
+    in
+    let satisfied = List.exists (fun l -> value_lit t l = 1) sorted in
+    if tautology || satisfied then true
+    else begin
+      let remaining = List.filter (fun l -> value_lit t l <> 0) sorted in
+      match remaining with
+      | [] ->
+        t.ok <- false;
+        false
+      | [ u ] ->
+        enqueue t u (-1);
+        if propagate t >= 0 then begin
+          t.ok <- false;
+          false
+        end
+        else true
+      | [ a; b ] ->
+        add_bin t a b;
+        true
+      | _ ->
+        ignore (new_clause t (Array.of_list remaining) ~learnt:false ~lbd:0);
+        true
+    end
   end
 
 let record_learnt t lits lbd =
@@ -780,230 +729,9 @@ let record_learnt t lits lbd =
     enqueue t lits.(0) (c lsl 1)
   end
 
-(* ---------- inprocessing ---------- *)
-
-(* Tarjan over the binary implication graph (literals as nodes,
-   bin.(p) as adjacency), iterative so deep implication chains cannot
-   overflow the OCaml stack. Every non-trivial SCC is an equivalence
-   class: record [subst] entries toward the minimum literal. A class
-   containing both phases of one variable makes the database
-   unsatisfiable. Returns whether any substitution was recorded. *)
-let scc_find t =
-  let n = 2 * t.nvars in
-  let index = Array.make (max n 1) (-1) in
-  let low = Array.make (max n 1) 0 in
-  let on_stack = Array.make (max n 1) false in
-  let comp_stack = Util.Vec_int.create () in
-  let stack_lit = Util.Vec_int.create () in
-  let stack_cur = Util.Vec_int.create () in
-  let next_index = ref 0 in
-  let changed = ref false in
-  let active l =
-    let v = l lsr 1 in
-    t.assigns.(v) < 0 && t.subst.(v) = v lsl 1
-  in
-  let visit l =
-    index.(l) <- !next_index;
-    low.(l) <- !next_index;
-    incr next_index;
-    Util.Vec_int.push comp_stack l;
-    on_stack.(l) <- true;
-    Util.Vec_int.push stack_lit l;
-    Util.Vec_int.push stack_cur 0
-  in
-  for root = 0 to n - 1 do
-    if t.ok && index.(root) < 0 && active root then begin
-      visit root;
-      while t.ok && not (Util.Vec_int.is_empty stack_lit) do
-        let l = Util.Vec_int.top stack_lit in
-        let cur = Util.Vec_int.top stack_cur in
-        let adj = t.bin.(l) in
-        if cur < Util.Vec_int.length adj then begin
-          Util.Vec_int.set stack_cur (Util.Vec_int.length stack_cur - 1) (cur + 1);
-          let w = Util.Vec_int.get adj cur in
-          if active w then begin
-            if index.(w) < 0 then visit w
-            else if on_stack.(w) && index.(w) < low.(l) then low.(l) <- index.(w)
-          end
-        end
-        else begin
-          ignore (Util.Vec_int.pop stack_lit);
-          ignore (Util.Vec_int.pop stack_cur);
-          (if not (Util.Vec_int.is_empty stack_lit) then begin
-             let parent = Util.Vec_int.top stack_lit in
-             if low.(l) < low.(parent) then low.(parent) <- low.(l)
-           end);
-          if low.(l) = index.(l) then begin
-            (* pop the SCC rooted at l *)
-            let members = ref [] in
-            let stop = ref false in
-            while not !stop do
-              let m = Util.Vec_int.pop comp_stack in
-              on_stack.(m) <- false;
-              members := m :: !members;
-              if m = l then stop := true
-            done;
-            match !members with
-            | [] | [ _ ] -> ()
-            | ms ->
-              let vars = Hashtbl.create 8 in
-              let contra =
-                List.exists
-                  (fun m ->
-                    let v = m lsr 1 in
-                    Hashtbl.mem vars v || (Hashtbl.add vars v (); false))
-                  ms
-              in
-              if contra then t.ok <- false
-              else begin
-                let rep = List.fold_left min max_int ms in
-                List.iter
-                  (fun m ->
-                    if m <> rep then begin
-                      t.subst.(m lsr 1) <- rep lxor (m land 1);
-                      t.inprocess_equivs <- t.inprocess_equivs + 1;
-                      changed := true
-                    end)
-                  ms
-              end
-          end
-        end
-      done
-    end
-  done;
-  (* path-compress chains (a pass-1 representative may itself have been
-     substituted by a later class); targets always have strictly
-     smaller variables, so resolution terminates *)
-  if !changed then
-    for v = 0 to t.nvars - 1 do
-      let rec resolve l =
-        let s = subst_lit t l in
-        if s = l then l else resolve s
-      in
-      t.subst.(v) <- resolve (v lsl 1)
-    done;
-  !changed
-
-(* enqueue a level-0 unit discovered by inprocessing (no propagation
-   here; callers propagate once their pass leaves a consistent state) *)
-let inprocess_unit t u =
-  match value_lit t u with
-  | 1 -> ()
-  | 0 -> t.ok <- false
-  | _ -> enqueue t u (-1)
-
-(* Rebuild the binary layer under the current assignment and
-   substitution: enumerate every binary clause once, map its literals,
-   and re-normalize. Satisfied clauses and tautologies drop; clauses
-   shrunk by a false literal become units. *)
-let rebuild_binary t =
-  let pairs = ref [] in
-  for p = 0 to (2 * t.nvars) - 1 do
-    let a = p lxor 1 in
-    Util.Vec_int.iter (fun b -> if a < b then pairs := (a, b) :: !pairs) t.bin.(p)
-  done;
-  Array.iter Util.Vec_int.clear t.bin;
-  t.n_bin <- 0;
-  List.iter
-    (fun (a0, b0) ->
-      if t.ok then begin
-        let a = subst_lit t a0 and b = subst_lit t b0 in
-        let a, b = if a <= b then (a, b) else (b, a) in
-        if a = b then inprocess_unit t a
-        else if a = b lxor 1 then () (* tautology *)
-        else if value_lit t a = 1 || value_lit t b = 1 then ()
-        else if value_lit t a = 0 then inprocess_unit t b
-        else if value_lit t b = 0 then inprocess_unit t a
-        else begin
-          bin_push t a b;
-          t.n_bin <- t.n_bin + 1
-        end
-      end)
-    (List.sort_uniq compare !pairs);
-  if t.ok && propagate t >= 0 then t.ok <- false
-
-(* Rewrite every arena clause that mentions an assigned or substituted
-   variable. Rewritten clauses are re-added behind the walk bound (and
-   may migrate to the binary layer or the trail); the stale copies are
-   deleted in place and swept by the next GC. The walk must complete
-   once substitutions exist — a partially rewritten database would let
-   search drop the equivalence constraints the rewrite removed. *)
-let rewrite_arena t =
-  let bound = t.arena_size in
-  let c = ref 0 in
-  while t.ok && !c < bound do
-    let h = t.arena.(!c) in
-    let size = cl_size h in
-    if not (cl_deleted h) then begin
-      let dirty = ref false in
-      for k = 0 to size - 1 do
-        let v = t.arena.(!c + 3 + k) lsr 1 in
-        if t.assigns.(v) >= 0 || t.subst.(v) <> v lsl 1 then dirty := true
-      done;
-      if !dirty then begin
-        let lits = ref [] in
-        for k = size - 1 downto 0 do
-          lits := subst_lit t t.arena.(!c + 3 + k) :: !lits
-        done;
-        delete_clause t !c;
-        t.inprocess_removed <- t.inprocess_removed + 1;
-        ignore (add_at_level0 t !lits ~learnt:(cl_learnt h) ~lbd:t.arena.(!c + 1))
-      end
-    end;
-    c := !c + 3 + size
-  done
-
-(* substituted variables appear in no clause after a completed rewrite;
-   drop them from the decision heap so search never branches on them *)
-let heap_prune t =
-  for v = 0 to t.nvars - 1 do
-    if t.subst.(v) <> v lsl 1 then heap_remove t v
-  done
-
-(* Level-0 inprocessing, run between solve calls under the governor:
-   propagate pending facts, find binary-implication SCCs, then rebuild
-   the binary layer and rewrite the arena under the resulting
-   substitution and assignment. Only entered at decision level 0 with
-   a healthy database and a budget left; SCC application is atomic
-   (see rewrite_arena) so the governor is polled before, not during. *)
-let inprocess ?(force = false) t limits =
-  let eligible =
-    t.ok
-    && decision_level t = 0
-    && (force
-       || t.inprocessing
-          && (t.bins_dirty || Util.Vec_int.length t.trail > t.simp_fixed || t.arena_waste > 0))
-  in
-  if eligible && Util.Limits.check limits = None then begin
-    t.inprocess_runs <- t.inprocess_runs + 1;
-    let trail0 = Util.Vec_int.length t.trail in
-    if propagate t >= 0 then t.ok <- false;
-    let changed = if t.ok && (force || t.bins_dirty) then scc_find t else false in
-    if t.ok then rebuild_binary t;
-    if t.ok then rewrite_arena t;
-    if t.ok then begin
-      heap_prune t;
-      (* a completed pass covered the whole graph; rediscovery is only
-         needed when this pass itself rewrote edges *)
-      t.bins_dirty <- changed;
-      t.simp_fixed <- Util.Vec_int.length t.trail;
-      t.inprocess_units <- t.inprocess_units + (Util.Vec_int.length t.trail - trail0);
-      maybe_gc t
-    end
-  end
-
 (* ---------- search ---------- *)
 
-(* the model covers substituted variables by reading their
-   representative's value through [subst] *)
-let save_model t =
-  let m = Array.make t.nvars (-1) in
-  for v = 0 to t.nvars - 1 do
-    let r = t.subst.(v) in
-    let a = t.assigns.(r lsr 1) in
-    m.(v) <- (if a < 0 then -1 else a lxor (r land 1))
-  done;
-  t.model <- m
+let save_model t = t.model <- Array.sub t.assigns 0 t.nvars
 
 let pick_branch_var t =
   let rec go () =
@@ -1023,9 +751,7 @@ let solve_raw ?(assumptions = []) ?(conflict_limit = max_int) ?(limits = Util.Li
   end
   else if Util.Limits.exhausted limits <> None then Unknown
   else begin
-    let orig_assumps = Array.of_list assumptions in
-    let map_assumps () = Array.map (fun l -> subst_lit t l) orig_assumps in
-    let assumps0 = map_assumps () in
+    let assumps = Array.of_list assumptions in
     (* trail reuse: cancel only past the longest prefix of assumption
        levels shared with the previous call. [reuse_ok] implies no
        clause was added since, so the kept assignments stay implied. *)
@@ -1033,152 +759,124 @@ let solve_raw ?(assumptions = []) ?(conflict_limit = max_int) ?(limits = Util.Li
       if not t.reuse_ok then 0
       else begin
         let m =
-          min (Array.length assumps0) (min (Array.length t.prev_assumptions) (decision_level t))
+          min (Array.length assumps) (min (Array.length t.prev_assumptions) (decision_level t))
         in
         let k = ref 0 in
-        while !k < m && assumps0.(!k) = t.prev_assumptions.(!k) do
+        while !k < m && assumps.(!k) = t.prev_assumptions.(!k) do
           incr k
         done;
         !k
       end
     in
     cancel_until t keep;
-    (* inprocessing may refine [subst]; remap the assumptions after *)
-    let assumps =
-      if keep = 0 then begin
-        inprocess t limits;
-        map_assumps ()
-      end
-      else assumps0
+    let n_assumps = Array.length assumps in
+    let conflicts_at_entry = t.conflicts in
+    let limited = Util.Limits.is_limited limits in
+    (* the shared conflict pool tightens any per-call limit *)
+    let conflict_limit =
+      match Util.Limits.conflict_budget limits with
+      | Some pool -> min conflict_limit pool
+      | None -> conflict_limit
     in
-    if not t.ok then begin
+    let polls = ref 0 in
+    let restart_count = ref 0 in
+    let budget = ref (restart_base * Util.Luby.term 1) in
+    let conflicts_this_restart = ref 0 in
+    let status = ref None in
+    let exit_keep () =
+      (* keep the placed assumption levels for the next call *)
+      cancel_until t (min (decision_level t) n_assumps);
+      t.prev_assumptions <- assumps;
+      t.reuse_ok <- true
+    in
+    let exit_drop () =
       cancel_until t 0;
-      t.reuse_ok <- false;
-      Unsat
-    end
-    else begin
-      let n_assumps = Array.length assumps in
-      (* translate an internal core literal back to the first caller
-         assumption mapping to it *)
-      let map_core core =
-        List.filter_map
-          (fun l ->
-            let rec find k =
-              if k >= n_assumps then None
-              else if assumps.(k) = l then Some orig_assumps.(k)
-              else find (k + 1)
-            in
-            find 0)
-          core
-      in
-      let conflicts_at_entry = t.conflicts in
-      let limited = Util.Limits.is_limited limits in
-      (* the shared conflict pool tightens any per-call limit *)
-      let conflict_limit =
-        match Util.Limits.conflict_budget limits with
-        | Some pool -> min conflict_limit pool
-        | None -> conflict_limit
-      in
-      let polls = ref 0 in
-      let restart_count = ref 0 in
-      let budget = ref (restart_base * Util.Luby.term 1) in
-      let conflicts_this_restart = ref 0 in
-      let status = ref None in
-      let exit_keep () =
-        (* keep the placed assumption levels for the next call *)
-        cancel_until t (min (decision_level t) n_assumps);
-        t.prev_assumptions <- assumps;
-        t.reuse_ok <- true
-      in
-      let exit_drop () =
-        cancel_until t 0;
-        t.reuse_ok <- false
-      in
-      (* level-0 propagation of anything pending *)
-      if decision_level t = 0 && propagate t >= 0 then begin
-        t.ok <- false;
-        exit_drop ();
-        status := Some Unsat
-      end;
-      while !status = None do
-        let confl = propagate t in
-        if confl >= 0 then begin
-          t.conflicts <- t.conflicts + 1;
-          incr conflicts_this_restart;
-          if decision_level t = 0 then begin
-            t.ok <- false;
+      t.reuse_ok <- false
+    in
+    (* level-0 propagation of anything pending *)
+    if decision_level t = 0 && propagate t >= 0 then begin
+      t.ok <- false;
+      exit_drop ();
+      status := Some Unsat
+    end;
+    while !status = None do
+      let confl = propagate t in
+      if confl >= 0 then begin
+        t.conflicts <- t.conflicts + 1;
+        incr conflicts_this_restart;
+        if decision_level t = 0 then begin
+          t.ok <- false;
+          exit_drop ();
+          status := Some Unsat
+        end
+        else begin
+          let learnt, bt, lbd = analyze t confl in
+          cancel_until t bt;
+          record_learnt t learnt lbd;
+          decay_var_activity t;
+          decay_clause_activity t
+        end
+      end
+      else if t.conflicts - conflicts_at_entry >= conflict_limit then begin
+        exit_keep ();
+        status := Some Unknown
+      end
+      else if
+        (* periodic deadline/cancellation poll; cadence keeps the
+           clock read off the propagation fast path. Unconditional
+           (not gated on [limited]): an unbudgeted governor can still
+           be tripped from another domain via [Limits.cancel], and a
+           racing solver must notice promptly *)
+        (incr polls;
+         !polls land 1023 = 0 && Util.Limits.check limits <> None)
+      then begin
+        exit_keep ();
+        status := Some Unknown
+      end
+      else if !conflicts_this_restart >= !budget then begin
+        (* restart: drop decisions, keep the assumption prefix *)
+        t.restarts <- t.restarts + 1;
+        incr restart_count;
+        conflicts_this_restart := 0;
+        budget := restart_base * Util.Luby.term (!restart_count + 1);
+        cancel_until t (min (decision_level t) n_assumps)
+      end
+      else if t.n_learnt > t.max_learnt then reduce_learnts t
+      else begin
+        (* extend the assignment: assumptions first, then decision *)
+        let dl = decision_level t in
+        if dl < n_assumps then begin
+          let p = assumps.(dl) in
+          match value_lit t p with
+          | 1 ->
+            (* already true: open a dummy level so indices line up *)
+            Util.Vec_int.push t.trail_lim (Util.Vec_int.length t.trail)
+          | 0 ->
+            t.failed <- analyze_final t p;
             exit_drop ();
             status := Some Unsat
-          end
-          else begin
-            let learnt, bt, lbd = analyze t confl in
-            cancel_until t bt;
-            record_learnt t learnt lbd;
-            decay_var_activity t;
-            decay_clause_activity t
-          end
+          | _ ->
+            Util.Vec_int.push t.trail_lim (Util.Vec_int.length t.trail);
+            enqueue t p (-1)
         end
-        else if t.conflicts - conflicts_at_entry >= conflict_limit then begin
-          exit_keep ();
-          status := Some Unknown
-        end
-        else if
-          (* periodic deadline/cancellation poll; cadence keeps the
-             clock read off the propagation fast path. Unconditional
-             (not gated on [limited]): an unbudgeted governor can still
-             be tripped from another domain via [Limits.cancel], and a
-             racing solver must notice promptly *)
-          (incr polls;
-           !polls land 1023 = 0 && Util.Limits.check limits <> None)
-        then begin
-          exit_keep ();
-          status := Some Unknown
-        end
-        else if !conflicts_this_restart >= !budget then begin
-          (* restart: drop decisions, keep the assumption prefix *)
-          t.restarts <- t.restarts + 1;
-          incr restart_count;
-          conflicts_this_restart := 0;
-          budget := restart_base * Util.Luby.term (!restart_count + 1);
-          cancel_until t (min (decision_level t) n_assumps)
-        end
-        else if t.n_learnt > t.max_learnt then reduce_learnts t
         else begin
-          (* extend the assignment: assumptions first, then decision *)
-          let dl = decision_level t in
-          if dl < n_assumps then begin
-            let p = assumps.(dl) in
-            match value_lit t p with
-            | 1 ->
-              (* already true: open a dummy level so indices line up *)
-              Util.Vec_int.push t.trail_lim (Util.Vec_int.length t.trail)
-            | 0 ->
-              t.failed <- map_core (analyze_final t p);
-              exit_drop ();
-              status := Some Unsat
-            | _ ->
-              Util.Vec_int.push t.trail_lim (Util.Vec_int.length t.trail);
-              enqueue t p (-1)
+          let v = pick_branch_var t in
+          if v < 0 then begin
+            save_model t;
+            exit_keep ();
+            status := Some Sat
           end
           else begin
-            let v = pick_branch_var t in
-            if v < 0 then begin
-              save_model t;
-              exit_keep ();
-              status := Some Sat
-            end
-            else begin
-              t.decisions <- t.decisions + 1;
-              Util.Vec_int.push t.trail_lim (Util.Vec_int.length t.trail);
-              let phase = t.saved_phase.(v) in
-              enqueue t ((v lsl 1) lor (if phase then 0 else 1)) (-1)
-            end
+            t.decisions <- t.decisions + 1;
+            Util.Vec_int.push t.trail_lim (Util.Vec_int.length t.trail);
+            let phase = t.saved_phase.(v) in
+            enqueue t ((v lsl 1) lor (if phase then 0 else 1)) (-1)
           end
         end
-      done;
-      if limited then Util.Limits.charge_conflicts limits (t.conflicts - conflicts_at_entry);
-      match !status with Some s -> s | None -> Unknown
-    end
+      end
+    done;
+    if limited then Util.Limits.charge_conflicts limits (t.conflicts - conflicts_at_entry);
+    match !status with Some s -> s | None -> Unknown
   end
 
 let solve ?assumptions ?conflict_limit ?limits t =
@@ -1190,10 +888,6 @@ let solve ?assumptions ?conflict_limit ?limits t =
     let d0 = t.decisions and p0 = t.propagations and c0 = t.conflicts and r0 = t.restarts in
     let b0 = t.binary_propagations and g0 = t.gc_runs and gw0 = t.gc_words in
     let dr0 = t.db_reductions and ld0 = t.learnt_deleted in
-    let ir0 = t.inprocess_runs
-    and iu0 = t.inprocess_units
-    and ie0 = t.inprocess_equivs
-    and ic0 = t.inprocess_removed in
     Obs.Trace_events.begin_ "sat.solve";
     let watch = Util.Stopwatch.start () in
     let result = solve_raw ?assumptions ?conflict_limit ?limits t in
@@ -1209,23 +903,11 @@ let solve ?assumptions ?conflict_limit ?limits t =
     Obs.add obs_gc_words (t.gc_words - gw0);
     Obs.add obs_db_reductions (t.db_reductions - dr0);
     Obs.add obs_learnt_deleted (t.learnt_deleted - ld0);
-    Obs.add obs_inprocess_runs (t.inprocess_runs - ir0);
-    Obs.add obs_inprocess_units (t.inprocess_units - iu0);
-    Obs.add obs_inprocess_equivs (t.inprocess_equivs - ie0);
-    Obs.add obs_inprocess_removed (t.inprocess_removed - ic0);
     Obs.observe obs_decisions_per_call (t.decisions - d0);
     Obs.observe obs_conflicts_per_call (t.conflicts - c0);
     Obs.observe obs_propagations_per_call (t.propagations - p0);
     result
   end
-
-let simplify ?(limits = Util.Limits.unlimited) t =
-  if t.ok then begin
-    cancel_until t 0;
-    t.reuse_ok <- false;
-    inprocess ~force:true t limits
-  end;
-  t.ok
 
 let value t v =
   if v < 0 || v >= Array.length t.model then None
@@ -1256,8 +938,6 @@ type stats = {
   learnt : int;
   gc_runs : int;
   db_reductions : int;
-  inprocess_units : int;
-  inprocess_equivs : int;
 }
 
 let stats (t : t) =
@@ -1275,14 +955,11 @@ let stats (t : t) =
     learnt = t.n_learnt;
     gc_runs = t.gc_runs;
     db_reductions = t.db_reductions;
-    inprocess_units = t.inprocess_units;
-    inprocess_equivs = t.inprocess_equivs;
   }
 
 let pp_stats ppf s =
   Format.fprintf ppf
     "decisions=%d propagations=%d (binary=%d) conflicts=%d restarts=%d learnt-lits=%d \
-     minimized=%d clauses=%d binaries=%d learnt=%d gcs=%d reductions=%d inprocess=%d+%de"
+     minimized=%d clauses=%d binaries=%d learnt=%d gcs=%d reductions=%d"
     s.decisions s.propagations s.binary_propagations s.conflicts s.restarts s.learnt_literals
     s.minimized_literals s.clauses s.binaries s.learnt s.gc_runs s.db_reductions
-    s.inprocess_units s.inprocess_equivs

@@ -13,12 +13,10 @@
     Crucially for the merge engine the solver is {e incremental}:
     clauses may be added between calls to {!solve}, each call may carry
     {e assumptions} (temporary unit decisions, how activation literals
-    implement retractable queries on a shared database), the assumption
-    prefix of the trail is reused verbatim across calls that share it,
-    and an inprocessing pass (level-0 clause simplification plus
-    binary-implication SCC equivalence reduction) runs between calls
-    under the {!Util.Limits} governor. See [docs/SAT.md] for the memory
-    layout, the watch invariants and the incremental-use contract. *)
+    implement retractable queries on a shared database), and the
+    assumption prefix of the trail is reused verbatim across calls that
+    share it. See [docs/SAT.md] for the memory layout, the watch
+    invariants and the incremental-use contract. *)
 
 type t
 
@@ -57,33 +55,19 @@ val add_clause : t -> Lit.t list -> bool
 val solve :
   ?assumptions:Lit.t list -> ?conflict_limit:int -> ?limits:Util.Limits.t -> t -> result
 
-(** Run the inprocessing pass now (level-0 simplification + binary SCC
-    equivalence reduction + arena GC), regardless of the automatic
-    trigger. Returns {!ok}: [false] when inprocessing proved the
-    database unsatisfiable. Polls [limits] before (not during) the
-    pass. *)
-val simplify : ?limits:Util.Limits.t -> t -> bool
-
-(** Enable or disable the automatic between-solves inprocessing pass
-    (enabled by default). {!simplify} still works when disabled. *)
-val set_inprocessing : t -> bool -> unit
-
 (** Override the learnt-clause budget that triggers database reduction
     (testing/tuning hook: a tiny budget forces reductions and arena GC
     on small instances). *)
 val set_learnt_budget : t -> int -> unit
 
 (** Model access after a [Sat] answer; [None] for variables the model
-    left unconstrained. Variables eliminated by equivalence reduction
-    report the value of their representative. *)
+    left unconstrained. *)
 val value : t -> int -> bool option
 
 (** After an [Unsat] answer from a {!solve} call with assumptions: a
     subset of those assumptions that is already jointly inconsistent
     with the clause database (an assumption-level unsat core; empty
-    when the database is unsatisfiable on its own). Literals are
-    returned in the caller's original form even when equivalence
-    reduction rewrote them internally. *)
+    when the database is unsatisfiable on its own). *)
 val failed_assumptions : t -> Lit.t list
 
 (** [lit_true t l] is [true] when the current model satisfies [l]. *)
@@ -110,8 +94,6 @@ type stats = {
   learnt : int;
   gc_runs : int;  (** arena compactions *)
   db_reductions : int;  (** learnt-DB reduction passes *)
-  inprocess_units : int;  (** level-0 facts found by inprocessing *)
-  inprocess_equivs : int;  (** variables eliminated by SCC reduction *)
 }
 
 val stats : t -> stats

@@ -197,6 +197,12 @@ let test_aiger_parse_error_details () =
   expect_error "odd latch literal" ascii "aag 2 1 1 1 0\n2\n5 2\n4\n" ~line:3 ~token:"5 2";
   expect_error "undefined output literal" ascii "aag 2 1 0 1 0\n2\n99\n" ~line:3 ~token:"99";
   expect_error "and line" ascii "aag 3 1 0 1 1\n2\n6\n6 2\n" ~line:4 ~token:"6 2";
+  (* header counts are untrusted: a negative one, or one so large that
+     1 + I + L + O + A wraps around (M = I = max_int on 64-bit) *)
+  expect_error "negative count" ascii "aag 1 1 0 1 -1\n2\n2\n" ~line:1 ~token:"-1";
+  expect_error "count beyond the document" ascii
+    "aag 4611686018427387903 4611686018427387903 0 0 0\n2" ~line:1
+    ~token:"4611686018427387903";
   (* binary reader: latch lines start at absolute line 2 *)
   let binary = Netlist.Aiger.read_binary ~name:"t" in
   expect_error "binary latch token" binary "aig 2 1 1 1 0\nzz\n4\n" ~line:2 ~token:"zz";

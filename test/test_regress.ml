@@ -365,6 +365,30 @@ let test_cli_only_prefix_filters () =
   check int "in-prefix delta still gates" 1 code;
   check bool "gated metric listed" true (contains out "row.a")
 
+let test_cli_only_matching_nothing_exits_two () =
+  (* a misspelt prefix compares nothing, so it must not read as a pass *)
+  with_two_dirs @@ fun old_dir new_dir ->
+  write_json old_dir "par.json" (report ~counters:[ ("parbench.portfolio.decided", 4) ] ());
+  write_json new_dir "par.json" (report ~counters:[ ("parbench.portfolio.decided", 0) ] ());
+  let code, out, err = run_cli [ old_dir; new_dir; "--only=counters.parbnech." ] in
+  check int "prefix matching nothing exits 2" 2 code;
+  check bool "diagnostic names the prefix" true (contains err "--only=counters.parbnech.");
+  check string "stdout stays clean" "" out;
+  let code, out, _ = run_cli [ old_dir; new_dir; "--only=counters.parbench." ] in
+  check int "the correct prefix gates the regression" 1 code;
+  check bool "regression listed" true (contains out "parbench.portfolio.decided");
+  let code, _, _ =
+    run_cli [ old_dir; new_dir; "--only=counters.parbnech."; "--only=counters.parbench." ]
+  in
+  check int "one matching prefix among several is enough" 1 code;
+  (* identical trees under a valid prefix still pass *)
+  let r = report ~counters:[ ("parbench.portfolio.decided", 4) ] () in
+  write_json new_dir "par.json" r;
+  write_json old_dir "par.json" r;
+  let code, out, _ = run_cli [ old_dir; new_dir; "--only=counters.parbench." ] in
+  check int "identical trees exit 0" 0 code;
+  check bool "verdict on stdout" true (contains out "OK: 1 report pair")
+
 let () =
   Alcotest.run "regress"
     [
@@ -413,5 +437,7 @@ let () =
           Alcotest.test_case "meta mismatch header" `Quick test_cli_meta_mismatch_header;
           Alcotest.test_case "regression exits 1" `Quick test_cli_regression_exits_one;
           Alcotest.test_case "--only prefix filter" `Quick test_cli_only_prefix_filters;
+          Alcotest.test_case "--only matching nothing exits 2" `Quick
+            test_cli_only_matching_nothing_exits_two;
         ] );
     ]

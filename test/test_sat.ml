@@ -533,7 +533,6 @@ let test_gc_stress () =
   List.iteri
     (fun q assumptions ->
       let got = Sat.Solver.solve ~assumptions stressed in
-      if q mod 5 = 4 then ignore (Sat.Solver.simplify stressed);
       let reference = Sat.Solver.create () in
       for _ = 1 to vars do
         ignore (Sat.Solver.new_var reference)

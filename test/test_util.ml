@@ -92,52 +92,6 @@ let vec_push_pop =
       let popped = List.init (List.length l) (fun _ -> Util.Vec_int.pop v) in
       popped = List.rev l)
 
-(* ---------- Union_find ---------- *)
-
-let test_uf_basic () =
-  let t = Util.Union_find.create 5 in
-  check bool "initially separate" false (Util.Union_find.same t 0 1);
-  ignore (Util.Union_find.union t 0 1);
-  check bool "united" true (Util.Union_find.same t 0 1);
-  ignore (Util.Union_find.union t 2 3);
-  check bool "separate classes" false (Util.Union_find.same t 1 2);
-  ignore (Util.Union_find.union t 1 3);
-  check bool "transitively united" true (Util.Union_find.same t 0 2);
-  check int "classes: {0,1,2,3} {4}" 2 (Util.Union_find.class_count t)
-
-let test_uf_ensure () =
-  let t = Util.Union_find.create 0 in
-  Util.Union_find.ensure t 10;
-  check bool "grown element valid" true (Util.Union_find.find t 10 = 10);
-  ignore (Util.Union_find.union t 10 3);
-  check bool "union after grow" true (Util.Union_find.same t 3 10)
-
-let test_uf_union_into () =
-  let t = Util.Union_find.create 4 in
-  Util.Union_find.union_into t ~root:0 1;
-  Util.Union_find.union_into t ~root:0 2;
-  check int "representative is the root" 0 (Util.Union_find.find t 1);
-  check int "representative is the root" 0 (Util.Union_find.find t 2)
-
-let uf_equivalence =
-  QCheck.Test.make ~name:"union-find agrees with naive partition" ~count:100
-    QCheck.(list (pair (int_bound 19) (int_bound 19)))
-    (fun pairs ->
-      let t = Util.Union_find.create 20 in
-      (* naive model: list of class lists *)
-      let naive = Array.init 20 (fun i -> i) in
-      let rec naive_find i = if naive.(i) = i then i else naive_find naive.(i) in
-      List.iter
-        (fun (a, b) ->
-          ignore (Util.Union_find.union t a b);
-          let ra = naive_find a and rb = naive_find b in
-          if ra <> rb then naive.(rb) <- ra)
-        pairs;
-      List.for_all
-        (fun (a, b) ->
-          Util.Union_find.same t a b = (naive_find a = naive_find b))
-        (List.concat_map (fun a -> List.map (fun b -> (a, b)) [ 0; 5; 10; 19 ]) [ 0; 3; 7; 19 ]))
-
 (* ---------- Prng ---------- *)
 
 let test_prng_deterministic () =
@@ -221,13 +175,6 @@ let () =
           QCheck_alcotest.to_alcotest vec_roundtrip;
           QCheck_alcotest.to_alcotest vec_array_roundtrip;
           QCheck_alcotest.to_alcotest vec_push_pop;
-        ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "union/find/same" `Quick test_uf_basic;
-          Alcotest.test_case "ensure grows" `Quick test_uf_ensure;
-          Alcotest.test_case "union_into keeps root" `Quick test_uf_union_into;
-          QCheck_alcotest.to_alcotest uf_equivalence;
         ] );
       ( "prng",
         [
