@@ -12,12 +12,11 @@
      F2  size-vs-quantified-variables profile
      T7  forward CBQ vs forward BDD
      T8  combinational equivalence checking
-     A1  traversal-option ablation
      A2  register-correspondence sweeping
      B1  block vs sequential quantification
      SIM    bit-parallel simulation vs the retired per-pattern engine
      SAT    SAT-core rows (pigeonhole, random k-SAT, assumptions, BMC)
-     PAR    portfolio racing, parallel SAT merging, sharded fuzzing
+     PAR    portfolio racing, sharded fuzzing
      SERVE  job-daemon throughput, cancellation and store append cost
 
    Usage:
@@ -689,40 +688,6 @@ let t8 () =
     sizes
 
 (* ---------------------------------------------------------------- *)
-(* A1: traversal-option ablation                                     *)
-(* ---------------------------------------------------------------- *)
-
-let a1 () =
-  header "A1" "traversal options: frontier sweeping and reached-set don't cares";
-  line "%-16s %-22s %6s %9s %9s@." "model" "options" "iters" "peak" "time(s)";
-  let models =
-    if !quick then [ ("fifo-buggy", Some 2); ("tmr", Some 3) ]
-    else [ ("counter", Some 5); ("fifo-buggy", Some 3); ("tmr", Some 3); ("johnson", Some 6) ]
-  in
-  let variants =
-    [
-      ("plain", Cbq.Reachability.default);
-      ("sweep-frontier", { Cbq.Reachability.default with sweep_frontier = true });
-      ("reached-dc", { Cbq.Reachability.default with use_reached_dc = true });
-      ( "both",
-        { Cbq.Reachability.default with sweep_frontier = true; use_reached_dc = true } );
-    ]
-  in
-  List.iter
-    (fun (name, param) ->
-      with_report ("a1-" ^ name) @@ fun () ->
-      List.iter
-        (fun (label, config) ->
-          let m, _ = Circuits.Registry.build name param in
-          let config = { config with Cbq.Reachability.make_trace = false } in
-          let r, dt = Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config m) in
-          line "%-16s %-22s %6d %9d %9.4f@." (Netlist.Model.name m) label
-            (List.length r.Cbq.Reachability.iterations)
-            r.Cbq.Reachability.peak_frontier dt)
-        variants)
-    models
-
-(* ---------------------------------------------------------------- *)
 (* A2: sequential sweeping as preprocessing                          *)
 (* ---------------------------------------------------------------- *)
 
@@ -796,7 +761,7 @@ let b1 () =
 let suites =
   [
     ("T1", t1); ("T2", t2); ("T3", t3); ("T4", t4); ("T5", t5); ("T6", t6); ("F1", f1);
-    ("F2", f2); ("T7", t7); ("T8", t8); ("A1", a1); ("A2", a2); ("B1", b1);
+    ("F2", f2); ("T7", t7); ("T8", t8); ("A2", a2); ("B1", b1);
     ("SIM", Sim_bench.run); ("SAT", Sat_bench.run); ("PAR", Par_bench.run);
     ("SERVE", Serve_bench.run);
   ]

@@ -122,14 +122,6 @@ let jobs_arg =
           "domains for the portfolio race (default: one per engine, capped by the machine's \
            recommended domain count); ignored by single engines")
 
-let sweep_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "sweep-jobs" ] ~docv:"N"
-        ~doc:
-          "domains for the sweeper's SAT-merge stage inside the cbq engines (docs/PARALLEL.md); \
-           1 keeps the stage fully sequential")
-
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"per-iteration detail")
 let trace_arg = Arg.(value & flag & info [ "t"; "trace" ] ~doc:"print the counterexample trace")
 
@@ -258,9 +250,9 @@ let emit_stats ~stats ~stats_json ~store ~model ~engine ~watch ~limits verdict =
 
 let run_cmd =
   let doc = "verify a circuit's safety property" in
-  let run circuit param aag engine jobs sweep_jobs verbose trace seq_sweep coi minimize stats
-      stats_json trace_json progress sample_interval store timeout max_conflicts max_aig_nodes
-      max_bdd_nodes =
+  let run circuit param aag engine jobs verbose trace seq_sweep coi minimize stats stats_json
+      trace_json progress sample_interval store timeout max_conflicts max_aig_nodes max_bdd_nodes
+      =
     (* --progress reads the sweep merge counters, --sample-interval and
        --store record them, so all three need the registry live even
        without --stats *)
@@ -319,10 +311,7 @@ let run_cmd =
           let make_limits () =
             Util.Limits.create ?timeout ?max_conflicts ?max_aig_nodes ?max_bdd_nodes ()
           in
-          let q = Cbq.Quantify.default in
-          let sweep = { q.Cbq.Quantify.sweep with sat_jobs = sweep_jobs } in
-          let quant = { q with sweep } in
-          let cbq = { Cbq.Reachability.default with make_trace = trace; quant } in
+          let cbq = { Cbq.Reachability.default with make_trace = trace } in
           (* the CLI searches deeper with BMC and induction than the suite's defaults *)
           let config = { Baselines.Suite.bmc_depth = 100; induction_k = 50; cbq } in
           let run =
@@ -365,8 +354,8 @@ let run_cmd =
   in
   ( Cmd.info "run" ~doc,
     Term.(
-      const run $ circuit_arg $ param_arg $ aag_arg $ engine_arg $ jobs_arg $ sweep_jobs_arg
-      $ verbose_arg $ trace_arg $ seq_sweep_arg $ coi_arg $ minimize_arg
+      const run $ circuit_arg $ param_arg $ aag_arg $ engine_arg $ jobs_arg $ verbose_arg
+      $ trace_arg $ seq_sweep_arg $ coi_arg $ minimize_arg
       $ stats_arg $ stats_json_arg $ trace_json_arg $ progress_arg $ sample_interval_arg
       $ store_opt_arg $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg
       $ max_bdd_nodes_arg) )

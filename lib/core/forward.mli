@@ -10,8 +10,8 @@
     eliminated from the relational product circuit. Partial quantification
     carries residual variables exactly as in the backward engine.
 
-    Shares the result/verdict/config types of {!Reachability}; the
-    [sweep_frontier] and [use_reached_dc] options apply unchanged. *)
+    Shares the result/verdict/config types and the frame loop of
+    {!Reachability}. *)
 
 (** [run ?config ?limits m] — forward traversal from the initial states
     until a bad state is hit or a fix-point proves the property.

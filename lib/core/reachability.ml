@@ -43,8 +43,6 @@ let record_aborted_vars vars =
 type config = {
   quant : Quantify.config;
   max_iterations : int;
-  sweep_frontier : bool;
-  use_reached_dc : bool;
   make_trace : bool;
   seed : int;
 }
@@ -53,8 +51,6 @@ let default =
   {
     quant = Quantify.default;
     max_iterations = 200;
-    sweep_frontier = false;
-    use_reached_dc = false;
     make_trace = true;
     seed = 1;
   }
@@ -70,24 +66,16 @@ let exact_answer checker lits =
   Cnf.Checker.set_conflict_limit checker None;
   Cnf.Checker.satisfiable checker lits
 
-(* Find the exact counterexample depth at or above [from_depth] (the
-   reached-set don't-care option can make the traversal's hit iteration a
-   lower bound) and extract a trace. A [Maybe] — possible once a resource
-   governor has drained the conflict pool or the deadline — must STOP the
-   search: skipping past an undecided depth could certify a later depth
-   as "the" counterexample depth, which would be wrong. *)
-let find_cex model checker ~from_depth ~limit =
+(* The counterexample of a frontier that met the target at frame [depth]:
+   the onion rings make [depth] the exact depth, so one query on the
+   unrolling extracts the trace. A [Maybe] — the governor drained the
+   conflict pool or the deadline — leaves the verdict without one. *)
+let find_cex model checker ~depth =
   let unroll = Unroll.create model in
-  let rec search d =
-    if d > limit then None
-    else
-      match exact_answer checker [ Unroll.bad_at unroll d ] with
-      | Cnf.Checker.Yes ->
-        Some (d, Unroll.trace_from_model unroll ~depth:d ~value:(Cnf.Checker.model_var checker))
-      | Cnf.Checker.No -> search (d + 1)
-      | Cnf.Checker.Maybe -> None
-  in
-  search from_depth
+  match exact_answer checker [ Unroll.bad_at unroll depth ] with
+  | Cnf.Checker.Yes ->
+    Some (Unroll.trace_from_model unroll ~depth ~value:(Cnf.Checker.model_var checker))
+  | Cnf.Checker.No | Cnf.Checker.Maybe -> None
 
 let sum_naive reports =
   List.fold_left (fun acc r -> acc + r.Quantify.size_naive) 0 reports
@@ -179,23 +167,9 @@ let traverse ~config ~limits model make_direction =
   let dir = make_direction { model; checker; prng; bank; quant = config.quant } ~init ~bad in
   peak := Aig.size aig dir.initial;
   let undecided reason = finish (Verdict.Undecided reason) in
-  let falsified hit_iteration =
-    if config.make_trace || config.use_reached_dc then
-      match
-        find_cex model checker ~from_depth:hit_iteration
-          ~limit:(hit_iteration + config.max_iterations + 64)
-      with
-      | Some (d, t) ->
-        finish ?trace:(if config.make_trace then Some t else None) (Verdict.Falsified d)
-      | None -> (
-        (* with the reached-set don't-care the hit iteration is only a
-           lower bound on the depth; if the governor kept the depth scan
-           from confirming it, reporting it would risk a wrong depth —
-           degrade to [Undecided] instead *)
-        match Util.Limits.exhausted limits with
-        | Some r when config.use_reached_dc -> undecided (Util.Limits.resource_name r)
-        | Some _ | None -> finish (Verdict.Falsified hit_iteration))
-    else finish (Verdict.Falsified hit_iteration)
+  let falsified depth =
+    let trace = if config.make_trace then find_cex model checker ~depth else None in
+    finish ?trace (Verdict.Falsified depth)
   in
   match exact_answer checker [ init; bad ] with
   | Cnf.Checker.Yes -> falsified 0
@@ -230,20 +204,6 @@ let traverse ~config ~limits model make_direction =
         aux_vars :=
           renamed @ List.filter (fun v -> not (List.mem v q.Quantify.eliminated)) !aux_vars;
         let new_frontier = dir.rebase new_frontier in
-        let new_frontier =
-          if config.sweep_frontier then
-            fst (Synth.Opt.sweep_and_compact ~bank aig checker ~prng new_frontier)
-          else new_frontier
-        in
-        (* optional: states the traversal already holds are don't cares
-           for the new frontier *)
-        let new_frontier =
-          if config.use_reached_dc then
-            fst
-              (Synth.Dontcare.simplify_under_care ~bank aig checker ~prng
-                 ~care:(Aig.not_ !reached) new_frontier)
-          else new_frontier
-        in
         let fsize = Aig.size aig new_frontier in
         if fsize > !peak then peak := fsize;
         let record ~reached_size =

@@ -48,14 +48,6 @@ type result = {
 type config = {
   quant : Quantify.config;
   max_iterations : int;
-  sweep_frontier : bool; (* re-run the merge phase on each new frontier *)
-  use_reached_dc : bool;
-  (* simplify each new frontier using the complement of the reached set
-     as a care set: states already known to reach a bad state are don't
-     cares. Verdicts and depths stay exact — the frontier is only
-     unconstrained inside the reached region, where the onion-ring
-     conjunction and the reached-set union absorb any difference, and the
-     initial states can never lie there. *)
   make_trace : bool;
   seed : int;
 }
@@ -108,8 +100,8 @@ type direction = {
     residuals), builds the direction from them and the initial states,
     and runs the frame loop: step, then SAT-test frontier ∧ target (a
     counterexample) and frontier ∧ ¬reached (a fix-point when
-    unsatisfiable). Renaming, the depth scan, the budgeted-[Maybe] rules
-    and the telemetry are the same for every direction. *)
+    unsatisfiable). Renaming, the trace extraction, the budgeted-[Maybe]
+    rules and the telemetry are the same for every direction. *)
 val traverse :
   config:config ->
   limits:Util.Limits.t ->

@@ -58,7 +58,8 @@ module Json : sig
   val pp : Format.formatter -> t -> unit
 
   (** Strict parser for the subset {!to_string} emits (standard JSON minus
-      exotic escapes). [Error msg] carries a byte offset. *)
+      exotic escapes), nested at most 64 arrays or objects deep. [Error
+      msg] carries a byte offset. *)
   val of_string : string -> (t, string) result
 
   (** Read and parse a whole file. *)

@@ -143,6 +143,50 @@ let handle_request t conn line =
     (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ());
     `Stop
 
+(* Request frames are read through a fixed chunk instead of [input_line],
+   which buffers until it sees a newline: a client that never sends one
+   would hold the handler domain and unbounded memory. mult-cmp 16 is
+   27 245 bytes of AIGER, far below the cap. *)
+let max_frame_bytes = 16 * 1024 * 1024
+
+type reader = {
+  inc : in_channel;
+  chunk : Bytes.t;
+  mutable pos : int; (* next unread byte of [chunk] *)
+  mutable len : int; (* bytes of [chunk] the last read filled *)
+  frame : Buffer.t;
+}
+
+let take_frame r =
+  let line = Buffer.contents r.frame in
+  Buffer.reset r.frame;
+  `Frame line
+
+(* The next frame without its newline; like [input_line], an unterminated
+   last frame still counts. *)
+let rec read_frame r =
+  if r.pos = r.len then begin
+    r.pos <- 0;
+    r.len <- input r.inc r.chunk 0 (Bytes.length r.chunk)
+  end;
+  if r.len = 0 then if Buffer.length r.frame = 0 then `Eof else take_frame r
+  else begin
+    let rec newline i = if i = r.len || Bytes.get r.chunk i = '\n' then i else newline (i + 1) in
+    let stop = newline r.pos in
+    if Buffer.length r.frame + (stop - r.pos) > max_frame_bytes then `Too_long
+    else begin
+      Buffer.add_subbytes r.frame r.chunk r.pos (stop - r.pos);
+      if stop < r.len then begin
+        r.pos <- stop + 1;
+        take_frame r
+      end
+      else begin
+        r.pos <- r.len;
+        read_frame r
+      end
+    end
+  end
+
 let handler t fd =
   Obs.incr obs_connections;
   let conn =
@@ -155,11 +199,26 @@ let handler t fd =
       jmutex = Mutex.create ();
     }
   in
-  let inc = Unix.in_channel_of_descr fd in
+  let reader =
+    {
+      inc = Unix.in_channel_of_descr fd;
+      chunk = Bytes.create 65536;
+      pos = 0;
+      len = 0;
+      frame = Buffer.create 1024;
+    }
+  in
   let rec loop () =
-    match input_line inc with
-    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
-    | line -> ( match handle_request t conn line with `Continue -> loop () | `Stop -> ())
+    match read_frame reader with
+    | exception (Sys_error _ | Unix.Unix_error _) -> ()
+    | `Eof -> ()
+    | `Too_long ->
+      (* the rest of the frame is never read: answer once and hang up *)
+      Obs.incr obs_protocol_errors;
+      send t conn
+        (Protocol.Protocol_error
+           { message = Printf.sprintf "request frame longer than %d bytes" max_frame_bytes })
+    | `Frame line -> ( match handle_request t conn line with `Continue -> loop () | `Stop -> ())
   in
   loop ();
   (* EOF or stop: whatever this client still has in flight is orphaned *)

@@ -12,9 +12,16 @@
        connection dead and cancels its unfinished jobs;}
     {- a [Shutdown] request (or {!stop}) stops accepting, drains the
        queue so in-flight jobs still stream their terminal events, then
-       tears the connections down.}} *)
+       tears the connections down;}
+    {- a request frame longer than {!max_frame_bytes} draws one
+       [Protocol_error] naming the limit, counted in
+       [serve.protocol_errors], and the connection is closed.}} *)
 
 type t
+
+(** The longest request frame the daemon reads, newline excluded:
+    16 MiB. *)
+val max_frame_bytes : int
 
 (** Bind, spawn the scheduler's worker pool and the accept domain, and
     return immediately. [ceiling] caps every client budget; [store]

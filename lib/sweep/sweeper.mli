@@ -16,17 +16,7 @@
     The SAT stage can run {e forward} (inputs to outputs: merges are
     learned early and simplify later checks) or {e backward} (outputs to
     inputs: with very similar cofactors a few top-level successes subsume
-    the nodes below, which are then skipped).
-
-    With [sat_jobs > 1] the SAT stage batches each round's independent
-    compare points across a pool of domains (docs/PARALLEL.md): every
-    worker owns a {!Aig.copy} of the manager and its own checker bound to
-    the same governor, takes the pairs of its static shard, and the main
-    domain applies all answers in the fixed pair order — merges, bank
-    distillation and signature refinement never happen off the main
-    domain, so parallel sweeps are deterministic for a fixed (seed,
-    [sat_jobs]) and produce the same classes as [sat_jobs = 1] whenever
-    every query is decisive (unbudgeted runs). *)
+    the nodes below, which are then skipped). *)
 
 type direction = Forward | Backward
 
@@ -35,7 +25,6 @@ type config = {
   bdd_node_limit : int; (* 0 disables BDD sweeping *)
   sat : direction option; (* None disables the SAT stage *)
   sat_conflict_limit : int option; (* per-query budget *)
-  sat_jobs : int; (* domains for the SAT stage; 1 = fully sequential *)
 }
 
 val default : config

@@ -234,13 +234,6 @@ let odc_pass aig checker ~prng ~config ~bank g =
     (!g, !accepted, !rejected)
   end
 
-let simplify_under_care ?(config = default) ?bank aig checker ~prng ~care f =
-  let before = Aig.size aig f in
-  let f', consts, merges =
-    input_dc_pass aig checker ~prng ~config ~bank ~care ~target:f ~extra_targets:[]
-  in
-  if Aig.size aig f' <= before then (f', (consts, merges)) else (f, (0, 0))
-
 let disjunction ?(config = default) ?bank aig checker ~prng f0 f1 =
   Obs.with_span obs_span @@ fun () ->
   Obs.Trace_events.begin_ "dontcare.disjunction";

@@ -58,20 +58,3 @@ val disjunction :
   Aig.lit ->
   Aig.lit ->
   Aig.lit * report
-
-(** [simplify_under_care ?config aig checker ~prng ~care f] rewrites [f]
-    so that it agrees with the original {e on the onset of [care]}; outside
-    it the result is unconstrained (the offset of [care] is the don't-care
-    set). Used by the traversal loop to shrink new frontiers under the
-    complement of the already-reached set. Returns the (never larger)
-    rewritten literal and the replacement counts
-    [(constants, merges)]. *)
-val simplify_under_care :
-  ?config:config ->
-  ?bank:Sweep.Pattern_bank.t ->
-  Aig.t ->
-  Cnf.Checker.t ->
-  prng:Util.Prng.t ->
-  care:Aig.lit ->
-  Aig.lit ->
-  Aig.lit * (int * int)

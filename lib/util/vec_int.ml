@@ -86,7 +86,6 @@ let of_list xs =
 
 let to_array v = Array.sub v.data 0 v.len
 let of_array a = { data = (if Array.length a = 0 then Array.make 1 0 else Array.copy a); len = Array.length a }
-let copy v = { data = Array.copy v.data; len = v.len }
 
 let blit_push dst src =
   grow dst (dst.len + src.len);

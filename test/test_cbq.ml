@@ -385,14 +385,6 @@ let test_reachability_profile () =
   check bool "peak recorded" true (r.Cbq.Reachability.peak_frontier > 0);
   check bool "queries recorded" true (r.Cbq.Reachability.sat_queries > 0)
 
-let test_reachability_sweep_frontier_variant () =
-  let config = { Cbq.Reachability.default with sweep_frontier = true } in
-  let model, _ = Circuits.Registry.build "fifo-buggy" (Some 2) in
-  let r = Cbq.Reachability.run ~config model in
-  match r.Cbq.Reachability.verdict with
-  | Cbq.Verdict.Falsified depth -> check int "same verdict with sweeping" 5 depth
-  | _ -> Alcotest.fail "expected falsification"
-
 let test_reachability_naive_variant () =
   (* even the no-optimization configuration must be sound, just bigger *)
   let config = { Cbq.Reachability.default with quant = Cbq.Quantify.naive_config } in
@@ -415,9 +407,8 @@ let test_reachability_iteration_limit () =
 (* Both CBQ directions, cofactor and hybrid share one frame loop; these
    pins hold each engine to the verdicts and per-frame profiles (frontier
    size, eliminated and kept inputs) it produced with its own loop,
-   including the reached-set don't-care and a conflict governor tight
-   enough to degrade the run. Every proof must certify and every
-   counterexample must replay. *)
+   including a conflict governor tight enough to degrade the run. Every
+   proof must certify and every counterexample must replay. *)
 let golden_traversals =
   [
     ("bwd", "counter", Some 3, `Plain, "FALSIFIED(7)",
@@ -426,9 +417,9 @@ let golden_traversals =
      [ (0, 2, 0); (19, 2, 0); (18, 2, 0); (2, 2, 0); (20, 2, 0) ]);
     ("bwd", "counter-even", Some 4, `Plain, "PROVED", [ (0, 1, 0) ]);
     ("bwd", "gray", Some 3, `Plain, "PROVED", [ (0, 1, 0) ]);
-    ("bwd", "shift-pattern", Some 4, `Reached_dc, "FALSIFIED(4)",
-     [ (2, 1, 0); (1, 1, 0); (0, 1, 0); (0, 1, 0) ]);
-    ("bwd", "arbiter", Some 3, `Reached_dc, "PROVED", [ (4, 3, 0); (0, 3, 0) ]);
+    ("bwd", "shift-pattern", Some 4, `Plain, "FALSIFIED(4)",
+     [ (2, 1, 0); (1, 1, 0); (3, 1, 0); (1, 1, 0) ]);
+    ("bwd", "arbiter", Some 3, `Plain, "PROVED", [ (4, 3, 0); (4, 3, 0) ]);
     (* the optimization phase runs only over the growth budget, so the
        3-conflict pool lasts to a decision *)
     ("bwd", "counter", Some 4, `Conflicts 3, "FALSIFIED(15)",
@@ -445,10 +436,10 @@ let golden_traversals =
     ("fwd", "gray", Some 3, `Plain, "PROVED",
      [ (11, 7, 0); (11, 7, 0); (20, 7, 0); (21, 7, 0); (19, 7, 0); (21, 7, 0); (20, 7, 0);
        (21, 7, 0); (19, 7, 0) ]);
-    ("fwd", "shift-pattern", Some 4, `Reached_dc, "FALSIFIED(4)",
-     [ (3, 5, 0); (7, 5, 0); (0, 5, 0); (0, 5, 0) ]);
-    ("fwd", "arbiter", Some 3, `Reached_dc, "PROVED",
-     [ (9, 9, 0); (8, 9, 0); (4, 9, 0); (0, 9, 0) ]);
+    ("fwd", "shift-pattern", Some 4, `Plain, "FALSIFIED(4)",
+     [ (7, 5, 0); (7, 5, 0); (15, 5, 0); (0, 5, 0) ]);
+    ("fwd", "arbiter", Some 3, `Plain, "PROVED",
+     [ (9, 9, 0); (8, 9, 0); (4, 9, 0); (9, 9, 0) ]);
     (* the target test asks bad∧image (the backward order); with that
        assumption order the 3-conflict pool lasts to a decision *)
     ("fwd", "counter", Some 4, `Conflicts 3, "FALSIFIED(15)",
@@ -483,22 +474,17 @@ let test_golden_traversals () =
   List.iter
     (fun (dir, name, param, mode, verdict, frames) ->
       let model, _ = Circuits.Registry.build name param in
-      let config =
-        match mode with
-        | `Reached_dc -> { Cbq.Reachability.default with use_reached_dc = true }
-        | `Plain | `Conflicts _ -> Cbq.Reachability.default
-      in
       let limits =
         match mode with
         | `Conflicts n -> Util.Limits.create ~max_conflicts:n ()
-        | `Plain | `Reached_dc -> Util.Limits.unlimited
+        | `Plain -> Util.Limits.unlimited
       in
       let r =
         match dir with
-        | "bwd" -> Cbq.Reachability.run ~config ~limits model
-        | "fwd" -> Cbq.Forward.run ~config ~limits model
-        | "cofactor" -> (Baselines.Cofactor_preimage.run ~config ~limits model).reach
-        | "hybrid" -> (Baselines.Hybrid.run ~config ~limits model).reach
+        | "bwd" -> Cbq.Reachability.run ~limits model
+        | "fwd" -> Cbq.Forward.run ~limits model
+        | "cofactor" -> (Baselines.Cofactor_preimage.run ~limits model).reach
+        | "hybrid" -> (Baselines.Hybrid.run ~limits model).reach
         | _ -> Alcotest.fail ("unknown engine " ^ dir)
       in
       let label = Printf.sprintf "%s %s" dir name in
@@ -519,8 +505,9 @@ let test_golden_traversals () =
         check bool (label ^ " trace replays") true (Cbq.Trace.check model t);
         check int (label ^ " trace length") depth (Cbq.Trace.length t)
       | Cbq.Verdict.Falsified _, _, None ->
-        (* only a drained pool may keep the depth scan from rebuilding it *)
-        if mode = `Plain || mode = `Reached_dc then
+        (* only a drained pool may keep the hit frame's query from
+           rebuilding it *)
+        if mode = `Plain then
           Alcotest.fail (label ^ ": falsified without a trace")
       | Cbq.Verdict.Undecided _, _, _ -> ())
     golden_traversals
@@ -557,8 +544,6 @@ let () =
         [
           Alcotest.test_case "all family oracles" `Slow test_reachability_oracles;
           Alcotest.test_case "profile sanity" `Quick test_reachability_profile;
-          Alcotest.test_case "frontier sweeping variant" `Quick
-            test_reachability_sweep_frontier_variant;
           Alcotest.test_case "naive quantification variant" `Quick
             test_reachability_naive_variant;
           Alcotest.test_case "iteration limit" `Quick test_reachability_iteration_limit;

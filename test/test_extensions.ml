@@ -1,6 +1,6 @@
 (* Tests for the extension features: cross-manager import, stand-alone
-   CEC, DIMACS I/O, forward CBQ reachability, reached-set don't cares,
-   care-set simplification, and the Johnson/TMR families. *)
+   CEC, DIMACS I/O, forward CBQ reachability, and the Johnson/TMR
+   families. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -203,44 +203,6 @@ let test_forward_agrees_with_backward () =
         (Cbq.Verdict.to_meta f))
     [ ("counter", Some 3); ("fifo-buggy", Some 2); ("counter-even", Some 4) ]
 
-(* ---------- reached-set don't cares & care simplification ---------- *)
-
-let test_simplify_under_care () =
-  let aig = Aig.create () in
-  let checker = Cnf.Checker.create aig in
-  let prng = Util.Prng.create 93 in
-  let x = Aig.var aig 0 and y = Aig.var aig 1 in
-  (* under care = x, the function x & y is just y *)
-  let f = Aig.and_ aig x y in
-  let f', (consts, merges) = Synth.Dontcare.simplify_under_care aig checker ~prng ~care:x f in
-  check bool "agrees on the care set" true
-    (let ok = ref true in
-     for mask = 0 to 3 do
-       if (mask land 1 = 1) && eval_mask aig f' mask <> eval_mask aig f mask then ok := false
-     done;
-     !ok);
-  check bool "some replacement happened or already minimal" true (consts + merges >= 0);
-  check bool "never larger" true (Aig.size aig f' <= Aig.size aig f)
-
-let test_reached_dc_reachability () =
-  (* the option must not change any verdict or depth *)
-  List.iter
-    (fun (name, param) ->
-      let model, status = Circuits.Registry.build name param in
-      let config = { Cbq.Reachability.default with use_reached_dc = true } in
-      let r = Cbq.Reachability.run ~config model in
-      match (r.Cbq.Reachability.verdict, status) with
-      | Cbq.Verdict.Proved, Circuits.Registry.Safe -> ()
-      | Cbq.Verdict.Falsified depth, Circuits.Registry.Unsafe expected ->
-        check int (name ^ " depth with reached-dc") expected depth;
-        (match r.Cbq.Reachability.trace with
-        | Some t -> check bool (name ^ " trace valid") true (Cbq.Trace.check model t)
-        | None -> Alcotest.fail (name ^ ": missing trace"))
-      | v, _ ->
-        Alcotest.fail
-          (Format.asprintf "%s: wrong verdict with reached-dc: %a" name Cbq.Verdict.pp v))
-    [ ("counter", Some 3); ("fifo-buggy", Some 2); ("lfsr", Some 4); ("peterson", None) ]
-
 (* ---------- new families ---------- *)
 
 let random_stimulus m prng _step =
@@ -271,15 +233,6 @@ let test_tmr_family () =
   check bool "safe under random stimulus" true (simulate_safe m 200 101);
   let r = Cbq.Reachability.run m in
   check bool "proved by cbq" true (r.Cbq.Reachability.verdict = Cbq.Verdict.Proved)
-
-let test_tmr_sweep_frontier () =
-  (* the replicated structure must also verify under the frontier-sweeping
-     configuration (merge phase applied to every new state set) *)
-  let m = Circuits.Families.tmr ~bits:3 in
-  let config = { Cbq.Reachability.default with sweep_frontier = true } in
-  let r = Cbq.Reachability.run ~config m in
-  check bool "proved with frontier sweeping" true
-    (r.Cbq.Reachability.verdict = Cbq.Verdict.Proved)
 
 let test_cla_cone_semantics () =
   let n = 4 in
@@ -776,17 +729,10 @@ let () =
           Alcotest.test_case "family oracles" `Slow test_forward_oracles;
           Alcotest.test_case "agrees with backward" `Quick test_forward_agrees_with_backward;
         ] );
-      ( "dontcare options",
-        [
-          Alcotest.test_case "simplify_under_care" `Quick test_simplify_under_care;
-          Alcotest.test_case "reached-dc traversal exactness" `Slow
-            test_reached_dc_reachability;
-        ] );
       ( "new families",
         [
           Alcotest.test_case "johnson" `Quick test_johnson_family;
           Alcotest.test_case "tmr" `Quick test_tmr_family;
-          Alcotest.test_case "tmr with frontier sweeping" `Quick test_tmr_sweep_frontier;
           Alcotest.test_case "carry-lookahead semantics" `Quick test_cla_cone_semantics;
         ] );
       ( "certificates",

@@ -146,7 +146,11 @@ let test_json_rejects_garbage () =
       match Obs.Json.of_string s with
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" s)
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated" ]
+    [
+      ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated";
+      (* one level past the nesting cap *)
+      String.make 65 '[' ^ String.make 65 ']';
+    ]
 
 (* ---------- report schema ---------- *)
 

@@ -1,7 +1,7 @@
 (* The multicore layer: pool sharding, frozen-model cloning,
    first-decisive-wins racing with cooperative cancellation, the
-   portfolio engine's agreement with single-engine runs, parallel
-   SAT-merge determinism and parallel fuzz-campaign determinism.
+   portfolio engine's agreement with single-engine runs and parallel
+   fuzz-campaign determinism.
 
    Everything here must hold on a single-core box: the contracts are
    about ordering, isolation and cancellation, not speed. *)
@@ -178,46 +178,6 @@ let test_portfolio_agrees_with_sequential () =
         (Baselines.Suite.engines ()))
     [ ("counter", 4); ("gray", 3) ]
 
-(* ---------- parallel SAT-merge determinism ---------- *)
-
-(* two structurally different, semantically equal XOR trees and a few
-   shared subfunctions: plenty of candidate classes for the SAT stage *)
-let sweep_instance () =
-  let aig = Aig.create () in
-  let n = 8 in
-  let xs = List.init n (Aig.var aig) in
-  let sum1 = List.fold_left (Aig.xor_ aig) Aig.false_ xs in
-  let sum2 = List.fold_right (fun x acc -> Aig.xor_ aig acc x) xs Aig.false_ in
-  let x0 = List.hd xs in
-  let roots = [ Aig.and_ aig sum1 x0; Aig.and_ aig sum2 x0; Aig.or_ aig sum1 (Aig.not_ x0) ] in
-  (aig, roots)
-
-let sweep_classes ~sat_jobs aig roots =
-  let checker = Cnf.Checker.create aig in
-  let prng = Util.Prng.create 5 in
-  let config = { Sweep.Sweeper.default with bdd_node_limit = 0; sat_jobs } in
-  let repl, report = Sweep.Sweeper.run ~config aig checker ~prng ~roots in
-  (List.init (Aig.num_nodes aig) repl, report)
-
-let test_parallel_sweep_matches_sequential () =
-  let aig, roots = sweep_instance () in
-  (* the parallel run works on a pristine copy: both runs see the same
-     manager state, node ids and literal values *)
-  let aig2 = Aig.copy aig in
-  let seq_repl, seq_report = sweep_classes ~sat_jobs:1 aig roots in
-  let par_repl, par_report = sweep_classes ~sat_jobs:3 aig2 roots in
-  check bool "identical merge substitution" true (seq_repl = par_repl);
-  check int "identical merge count" seq_report.Sweep.Sweeper.total_merges
-    par_report.Sweep.Sweeper.total_merges;
-  check bool "the SAT stage actually merged something" true
-    (seq_report.Sweep.Sweeper.sat_merges > 0)
-
-let test_parallel_sweep_jobs_deterministic () =
-  let aig, roots = sweep_instance () in
-  let a, _ = sweep_classes ~sat_jobs:3 (Aig.copy aig) roots in
-  let b, _ = sweep_classes ~sat_jobs:3 (Aig.copy aig) roots in
-  check bool "same (seed, jobs) => same substitution" true (a = b)
-
 (* ---------- parallel fuzz determinism ---------- *)
 
 let campaign ~jobs =
@@ -264,13 +224,6 @@ let () =
         [
           Alcotest.test_case "agrees with sequential engines" `Slow
             test_portfolio_agrees_with_sequential;
-        ] );
-      ( "sweep",
-        [
-          Alcotest.test_case "parallel matches sequential classes" `Quick
-            test_parallel_sweep_matches_sequential;
-          Alcotest.test_case "fixed (seed, jobs) deterministic" `Quick
-            test_parallel_sweep_jobs_deterministic;
         ] );
       ( "fuzz",
         [

@@ -20,13 +20,6 @@ let setup () =
   let prng = Util.Prng.create 13 in
   (aig, checker, prng)
 
-let test_compact_preserves () =
-  let aig, _, _ = setup () in
-  let x = Aig.var aig 0 and y = Aig.var aig 1 in
-  let f = Aig.ite aig x (Aig.xor_ aig x y) (Aig.and_ aig x y) in
-  let f' = Synth.Opt.compact aig f in
-  check bool "compact preserves semantics" true (semantically_equal aig 2 f f')
-
 let test_disjunction_trivial_cases () =
   let aig, checker, prng = setup () in
   let x = Aig.var aig 0 in
@@ -78,16 +71,6 @@ let test_merges_disabled () =
   let g, report = Synth.Dontcare.disjunction ~config aig checker ~prng f0 f1 in
   check int "no merge replacements when disabled" 0 report.Synth.Dontcare.merge_replacements;
   check bool "still equivalent" true (semantically_equal aig 2 g (Aig.or_ aig f0 f1))
-
-let test_sweep_and_compact () =
-  let aig, checker, prng = setup () in
-  let x = Aig.var aig 0 and y = Aig.var aig 1 in
-  let xor1 = Aig.xor_ aig x y in
-  let xor2 = Aig.or_ aig (Aig.and_ aig x (Aig.not_ y)) (Aig.and_ aig (Aig.not_ x) y) in
-  let f = Aig.or_ aig (Aig.and_ aig xor1 x) (Aig.and_ aig xor2 (Aig.not_ x)) in
-  let f', report = Synth.Opt.sweep_and_compact aig checker ~prng f in
-  check bool "function preserved" true (semantically_equal aig 2 f f');
-  check bool "merges found in the redundant cone" true (report.Sweep.Sweeper.total_merges > 0)
 
 (* cofactor-pair property: the don't-care disjunction of the cofactors of
    any function along any variable equals the quantification *)
@@ -176,11 +159,6 @@ let rewrite_preserves_semantics =
 let () =
   Alcotest.run "synth"
     [
-      ( "opt",
-        [
-          Alcotest.test_case "compact preserves" `Quick test_compact_preserves;
-          Alcotest.test_case "sweep_and_compact" `Quick test_sweep_and_compact;
-        ] );
       ( "dontcare",
         [
           Alcotest.test_case "trivial cases" `Quick test_disjunction_trivial_cases;
