@@ -29,6 +29,9 @@ let row_limits () =
   | None -> Util.Limits.unlimited
   | Some sec -> Util.Limits.create ~timeout:sec ()
 
+(* the comparison tables time verdicts, not counterexample extraction *)
+let no_trace = { Cbq.Reachability.default with make_trace = false }
+
 (* --store=DIR additionally appends every row's report to a run-report
    store, so `cbq_mc report trend` can track a row across bench
    invocations; the store handle is opened once, on first use *)

@@ -95,38 +95,8 @@ let quantify_with config (cone : Circuits.Comb.cone) k =
 (* bounded BDD size of a literal: the canonical-representation yardstick *)
 let bdd_size_of aig lit ~limit =
   let man = Bdd.create () in
-  let memo : (int, Bdd.node) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.replace memo 0 Bdd.zero;
-  let build () =
-    List.iter
-      (fun n ->
-        let f0, f1 = Aig.fanins aig n in
-        let value l =
-          let m = Aig.node_of_lit l in
-          let b =
-            match Hashtbl.find_opt memo m with
-            | Some b -> b
-            | None ->
-              let b = Bdd.var_node man (Option.get (Aig.var_of_lit aig (Aig.lit_of_node m))) in
-              Hashtbl.replace memo m b;
-              b
-          in
-          if Aig.is_complemented l then Bdd.not_ man b else b
-        in
-        Hashtbl.replace memo n (Bdd.and_ man (value f0) (value f1)))
-      (Aig.cone aig [ lit ]);
-    let n = Aig.node_of_lit lit in
-    let b =
-      match Hashtbl.find_opt memo n with
-      | Some b -> b
-      | None -> (
-        match Aig.var_of_lit aig (Aig.lit_of_node n) with
-        | Some v -> Bdd.var_node man v
-        | None -> Bdd.zero)
-    in
-    Bdd.size man (if Aig.is_complemented lit then Bdd.not_ man b else b)
-  in
-  match Bdd.with_limit man ~max_nodes:limit build with
+  let tr = Sweep.Bdd_sweep.translator man aig in
+  match Bdd.with_limit man ~max_nodes:limit (fun () -> Bdd.size man (tr [ lit ] lit)) with
   | Ok s -> Printf.sprintf "%d" s
   | Error `Node_limit -> Printf.sprintf ">%d" limit
 
@@ -373,17 +343,15 @@ let t4_run_engines name param =
   in
   let vs v = Format.asprintf "%a" Baselines.Verdict.pp v in
   (let m = build () in
-   let r, dt = Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:{ Cbq.Reachability.default with make_trace = false } ~limits:(row_limits ()) m) in
+   let r, dt = Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:no_trace ~limits:(row_limits ()) m) in
    add "cbq" (vs r.Cbq.Reachability.verdict) (List.length r.Cbq.Reachability.iterations)
      r.Cbq.Reachability.peak_frontier dt);
   (let m = build () in
-   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.backward ~node_limit:300_000 ~limits:(row_limits ()) m) in
-   add "bdd-bwd" (vs r.Baselines.Bdd_mc.verdict) (List.length r.Baselines.Bdd_mc.iterations)
-     r.Baselines.Bdd_mc.peak_nodes dt);
+   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.backward ~node_limit:300_000 ~config:no_trace ~limits:(row_limits ()) m) in
+   add "bdd-bwd" (vs r.reach.verdict) (List.length r.reach.iterations) r.bdd_nodes dt);
   (let m = build () in
-   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.forward ~node_limit:300_000 ~limits:(row_limits ()) m) in
-   add "bdd-fwd" (vs r.Baselines.Bdd_mc.verdict) (List.length r.Baselines.Bdd_mc.iterations)
-     r.Baselines.Bdd_mc.peak_nodes dt);
+   let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.forward ~node_limit:300_000 ~config:no_trace ~limits:(row_limits ()) m) in
+   add "bdd-fwd" (vs r.reach.verdict) (List.length r.reach.iterations) r.bdd_nodes dt);
   (let m = build () in
    let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bmc.run ~max_depth:64 ~limits:(row_limits ()) m) in
    add "bmc" (vs r.Baselines.Bmc.verdict) r.Baselines.Bmc.depth_reached
@@ -573,27 +541,25 @@ let f1 () =
     (fun n ->
       with_report (Printf.sprintf "f1-arbiter%d" n) @@ fun () ->
       let m1 = Circuits.Families.rr_arbiter ~n in
-      let r1 = Cbq.Reachability.run ~config:{ Cbq.Reachability.default with make_trace = false } m1 in
+      let r1 = Cbq.Reachability.run ~config:no_trace m1 in
       let m2 = Circuits.Families.rr_arbiter ~n in
-      let r2 = Baselines.Bdd_mc.backward ~node_limit:1_000_000 m2 in
-      line "%-6d %14d %14d %7d/%d@." n r1.Cbq.Reachability.peak_frontier
-        r2.Baselines.Bdd_mc.peak_nodes
+      let r2 = Baselines.Bdd_mc.backward ~node_limit:1_000_000 ~config:no_trace m2 in
+      line "%-6d %14d %14d %7d/%d@." n r1.Cbq.Reachability.peak_frontier r2.bdd_nodes
         (List.length r1.Cbq.Reachability.iterations)
-        (List.length r2.Baselines.Bdd_mc.iterations))
+        (List.length r2.reach.iterations))
     sizes;
   (* per-iteration series on one instance *)
   let n = if !quick then 4 else 8 in
   line "@.per-iteration sizes, arbiter %d (iteration: aig-frontier bdd-frontier):@." n;
   with_report (Printf.sprintf "f1-profile-arbiter%d" n) @@ fun () ->
   let m1 = Circuits.Families.rr_arbiter ~n in
-  let r1 = Cbq.Reachability.run ~config:{ Cbq.Reachability.default with make_trace = false } m1 in
+  let r1 = Cbq.Reachability.run ~config:no_trace m1 in
   let m2 = Circuits.Families.rr_arbiter ~n in
-  let r2 = Baselines.Bdd_mc.backward m2 in
+  let r2 = Baselines.Bdd_mc.backward ~config:no_trace m2 in
   List.iter2
-    (fun (a : Cbq.Reachability.iteration) (b : Baselines.Bdd_mc.iteration) ->
-      line "  iter %2d: %6d %6d@." a.Cbq.Reachability.index a.Cbq.Reachability.frontier_size
-        b.Baselines.Bdd_mc.frontier_nodes)
-    r1.Cbq.Reachability.iterations r2.Baselines.Bdd_mc.iterations
+    (fun (a : Cbq.Reachability.iteration) (b : Cbq.Reachability.iteration) ->
+      line "  iter %2d: %6d %6d@." a.index a.frontier_size b.frontier_size)
+    r1.Cbq.Reachability.iterations r2.reach.iterations
 
 (* ---------------------------------------------------------------- *)
 (* F2: quantification profile                                        *)
@@ -643,9 +609,8 @@ let t7 () =
     (fun (name, param) ->
       let m1, _ = Circuits.Registry.build name param in
       with_report ("t7-" ^ Netlist.Model.name m1) @@ fun () ->
-      let cfg = { Cbq.Reachability.default with make_trace = false } in
       let r1, dt1 =
-        Util.Stopwatch.time (fun () -> Cbq.Forward.run ~config:cfg ~limits:(row_limits ()) m1)
+        Util.Stopwatch.time (fun () -> Cbq.Forward.run ~config:no_trace ~limits:(row_limits ()) m1)
       in
       line "%-16s %-10s %-16s %6d %9d %9.4f@." (Netlist.Model.name m1) "cbq-fwd"
         (Format.asprintf "%a" Baselines.Verdict.pp r1.Cbq.Reachability.verdict)
@@ -653,12 +618,12 @@ let t7 () =
         r1.Cbq.Reachability.peak_frontier dt1;
       let m2, _ = Circuits.Registry.build name param in
       let r2, dt2 =
-        Util.Stopwatch.time (fun () -> Baselines.Bdd_mc.forward ~limits:(row_limits ()) m2)
+        Util.Stopwatch.time (fun () ->
+            Baselines.Bdd_mc.forward ~config:no_trace ~limits:(row_limits ()) m2)
       in
       line "%-16s %-10s %-16s %6d %9d %9.4f@." (Netlist.Model.name m2) "bdd-fwd"
-        (Format.asprintf "%a" Baselines.Verdict.pp r2.Baselines.Bdd_mc.verdict)
-        (List.length r2.Baselines.Bdd_mc.iterations)
-        r2.Baselines.Bdd_mc.peak_nodes dt2)
+        (Format.asprintf "%a" Baselines.Verdict.pp r2.reach.verdict)
+        (List.length r2.reach.iterations) r2.bdd_nodes dt2)
     models
 
 (* ---------------------------------------------------------------- *)
@@ -703,12 +668,11 @@ let a2 () =
     (fun (name, param) ->
       let m1, _ = Circuits.Registry.build name param in
       with_report ("a2-" ^ Netlist.Model.name m1) @@ fun () ->
-      let cfg = { Cbq.Reachability.default with make_trace = false } in
-      let _, plain_dt = Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:cfg m1) in
+      let _, plain_dt = Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:no_trace m1) in
       let m2, _ = Circuits.Registry.build name param in
       let (reduced, report), sweep_dt = Util.Stopwatch.time (fun () -> Cbq.Seq_sweep.reduce m2) in
       let _, swept_dt =
-        Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:cfg reduced)
+        Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:no_trace reduced)
       in
       line "%-14s %8d %8d %10d %12.4f %12.4f@." (Netlist.Model.name m1)
         report.Cbq.Seq_sweep.latches_before report.Cbq.Seq_sweep.latches_after

@@ -197,6 +197,12 @@ let max_bdd_nodes_arg =
            only disables further BDD sweeping; the bdd-bwd/bdd-fwd engines treat it as \
            their verdict limit)")
 
+let budget_arg =
+  let budget timeout max_conflicts max_aig_nodes max_bdd_nodes =
+    { Util.Limits.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes }
+  in
+  Term.(const budget $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+
 let progress_arg =
   Arg.(
     value & flag
@@ -251,8 +257,7 @@ let emit_stats ~stats ~stats_json ~store ~model ~engine ~watch ~limits verdict =
 let run_cmd =
   let doc = "verify a circuit's safety property" in
   let run circuit param aag engine jobs verbose trace seq_sweep coi minimize stats stats_json
-      trace_json progress sample_interval store timeout max_conflicts max_aig_nodes max_bdd_nodes
-      =
+      trace_json progress sample_interval store budget =
     (* --progress reads the sweep merge counters, --sample-interval and
        --store record them, so all three need the registry live even
        without --stats *)
@@ -269,11 +274,7 @@ let run_cmd =
     let watch = Util.Stopwatch.start () in
     (* the governor's deadline clock starts here, before model build, so
        --timeout bounds the whole invocation *)
-    let limits =
-      if timeout = None && max_conflicts = None && max_aig_nodes = None && max_bdd_nodes = None
-      then Util.Limits.unlimited
-      else Util.Limits.create ?timeout ?max_conflicts ?max_aig_nodes ?max_bdd_nodes ()
-    in
+    let limits = Util.Limits.of_budget budget in
     (* the sampler covers model build and reductions, not just the
        engine: a run that dies loading a huge AIG should still leave a
        heap curve *)
@@ -308,9 +309,7 @@ let run_cmd =
             end
             else model
           in
-          let make_limits () =
-            Util.Limits.create ?timeout ?max_conflicts ?max_aig_nodes ?max_bdd_nodes ()
-          in
+          let make_limits () = Util.Limits.of_budget budget in
           let cbq = { Cbq.Reachability.default with make_trace = trace } in
           (* the CLI searches deeper with BMC and induction than the suite's defaults *)
           let config = { Baselines.Suite.bmc_depth = 100; induction_k = 50; cbq } in
@@ -357,8 +356,7 @@ let run_cmd =
       const run $ circuit_arg $ param_arg $ aag_arg $ engine_arg $ jobs_arg $ verbose_arg
       $ trace_arg $ seq_sweep_arg $ coi_arg $ minimize_arg
       $ stats_arg $ stats_json_arg $ trace_json_arg $ progress_arg $ sample_interval_arg
-      $ store_opt_arg $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg
-      $ max_bdd_nodes_arg) )
+      $ store_opt_arg $ budget_arg) )
 
 let run_term = snd run_cmd
 let run_cmd = Cmd.v (fst run_cmd) run_term
@@ -544,8 +542,7 @@ let fuzz_cmd =
                 bug) and confirm the oracles catch it")
   in
   let run seed count max_latches max_inputs cone_depth shared_subcones wide_support corpus
-      no_shrink jobs inject_fault stats stats_json progress timeout max_conflicts max_aig_nodes
-      max_bdd_nodes =
+      no_shrink jobs inject_fault stats stats_json progress budget =
     if stats || stats_json <> None || progress then begin
       Obs.reset ();
       Obs.set_enabled true
@@ -570,7 +567,7 @@ let fuzz_cmd =
     let config =
       {
         Fuzz.Oracle.default_config with
-        budget = { Fuzz.Oracle.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes };
+        budget;
       }
     in
     let watch = Util.Stopwatch.start () in
@@ -623,8 +620,7 @@ let fuzz_cmd =
     Term.(
       const run $ seed_arg $ count_arg $ max_latches_arg $ max_inputs_arg $ cone_depth_arg
       $ shared_subcones_arg $ wide_support_arg $ corpus_arg $ no_shrink_arg $ fuzz_jobs_arg
-      $ inject_fault_arg $ stats_arg $ stats_json_arg $ progress_arg
-      $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+      $ inject_fault_arg $ stats_arg $ stats_json_arg $ progress_arg $ budget_arg)
 
 (* ---------- sat ---------- *)
 
@@ -891,9 +887,6 @@ let serve_engine_arg =
           (Printf.sprintf "engine to run on the server: %s"
              (String.concat " | " Baselines.Suite.names)))
 
-let budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes =
-  { Serve.Protocol.timeout; max_conflicts; max_aig_nodes; max_bdd_nodes }
-
 let serve_cmd =
   let doc = "run the persistent model-checking job daemon" in
   let man =
@@ -915,12 +908,11 @@ let serve_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"worker domains (default: the machine's recommended domain count)")
   in
-  let run listen jobs store stats timeout max_conflicts max_aig_nodes max_bdd_nodes =
+  let run listen jobs store stats ceiling =
     if stats then begin
       Obs.reset ();
       Obs.set_enabled true
     end;
-    let ceiling = budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes in
     let store = Option.map Obs.Store.open_ store in
     let server =
       try Serve.Server.start ?jobs ~ceiling ?store listen
@@ -941,8 +933,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ serve_listen_arg $ jobs_arg $ store_opt_arg $ stats_arg $ timeout_arg
-      $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+      const run $ serve_listen_arg $ jobs_arg $ store_opt_arg $ stats_arg $ budget_arg)
 
 let connect_client address =
   try Serve.Client.connect address
@@ -966,8 +957,7 @@ let print_outcome name = function
 
 let submit_cmd =
   let doc = "submit one job to a running daemon and wait for the verdict" in
-  let run connect circuit param aag engine progress timeout max_conflicts max_aig_nodes
-      max_bdd_nodes =
+  let run connect circuit param aag engine progress budget =
     let model, _status = load_model circuit param aag in
     let spec =
       {
@@ -975,7 +965,7 @@ let submit_cmd =
         model_name = Netlist.Model.name model;
         aig = Netlist.Aiger.write model;
         engine;
-        budget = budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes;
+        budget;
       }
     in
     let client = connect_client connect in
@@ -998,7 +988,7 @@ let submit_cmd =
   Cmd.v (Cmd.info "submit" ~doc)
     Term.(
       const run $ connect_arg $ circuit_arg $ param_arg $ aag_arg $ serve_engine_arg
-      $ progress_arg $ timeout_arg $ max_conflicts_arg $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+      $ progress_arg $ budget_arg)
 
 let batch_cmd =
   let doc = "submit every AIGER file in a directory to a running daemon" in
@@ -1008,7 +998,7 @@ let batch_cmd =
       & pos 0 (some dir) None
       & info [] ~docv:"DIR" ~doc:"directory of .aag/.aig model files")
   in
-  let run connect dir engine timeout max_conflicts max_aig_nodes max_bdd_nodes =
+  let run connect dir engine budget =
     let files =
       Sys.readdir dir |> Array.to_list
       |> List.filter (fun f -> Filename.check_suffix f ".aag" || Filename.check_suffix f ".aig")
@@ -1018,7 +1008,6 @@ let batch_cmd =
       Format.eprintf "cbq-mc batch: no .aag/.aig files in %s@." dir;
       exit 2
     end;
-    let budget = budget_of timeout max_conflicts max_aig_nodes max_bdd_nodes in
     (* an unparsable file is reported and skipped; the rest still run *)
     let parsed =
       List.filter_map
@@ -1052,8 +1041,7 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const run $ connect_arg $ dir_arg $ serve_engine_arg $ timeout_arg $ max_conflicts_arg
-      $ max_aig_nodes_arg $ max_bdd_nodes_arg)
+      const run $ connect_arg $ dir_arg $ serve_engine_arg $ budget_arg)
 
 let ctl_cmd =
   let doc = "control a running daemon: ping, stats or shutdown" in

@@ -1,195 +1,90 @@
-type iteration = { index : int; frontier_nodes : int; reached_nodes : int }
+type result = { reach : Cbq.Reachability.result; bdd_nodes : int }
 
-type result = {
-  verdict : Verdict.t;
-  iterations : iteration list;
-  peak_nodes : int;
-  seconds : float;
-}
-
-let pp_result ppf r =
-  Format.fprintf ppf "%a iterations=%d peak-bdd-nodes=%d %.3fs" Verdict.pp r.verdict
-    (List.length r.iterations) r.peak_nodes r.seconds
-
-(* Translate AIG cones into the BDD manager, one shared memo per engine
-   run; BDD variable indices coincide with AIG variable indices. *)
-let make_translator man aig =
-  let memo : (int, Bdd.node) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.replace memo 0 Bdd.zero;
-  fun lit ->
-    let nodes = Aig.cone aig [ lit ] in
-    List.iter
-      (fun n ->
-        if not (Hashtbl.mem memo n) then begin
-          let f0, f1 = Aig.fanins aig n in
-          let value l =
-            let m = Aig.node_of_lit l in
-            let b =
-              match Hashtbl.find_opt memo m with
-              | Some b -> b
-              | None -> (
-                match Aig.var_of_lit aig (Aig.lit_of_node m) with
-                | Some v ->
-                  let b = Bdd.var_node man v in
-                  Hashtbl.replace memo m b;
-                  b
-                | None -> assert false)
-            in
-            if Aig.is_complemented l then Bdd.not_ man b else b
-          in
-          Hashtbl.replace memo n (Bdd.and_ man (value f0) (value f1))
-        end)
-      nodes;
-    let b =
-      match Hashtbl.find_opt memo (Aig.node_of_lit lit) with
-      | Some b -> b
-      | None -> (
-        match Aig.var_of_lit aig lit with
-        | Some v ->
-          let b = Bdd.var_node man v in
-          Hashtbl.replace memo (Aig.node_of_lit lit) b;
-          b
-        | None -> assert false)
-    in
-    if Aig.is_complemented lit then Bdd.not_ man b else b
-
-let run_engine ~limits ~node_limit ~body =
-  let watch = Util.Stopwatch.start () in
-  let limits = Obs.Limits.arm limits in
-  let man = Bdd.create () in
-  let iterations = ref [] in
-  (* the governor's BDD node pool tightens the engine's own quota; when
-     the pool is the binding constraint, blowing it is a fatal trip *)
-  let pool_bound, node_limit =
-    match Util.Limits.bdd_budget limits with
-    | Some pool when pool < node_limit -> (true, max 1 pool)
-    | Some _ | None -> (false, node_limit)
-  in
-  (* Polling inside BDD construction keeps a blowing-up build
-     interruptible: without it a cancelled or deadline-tripped engine only
-     notices between reachability iterations, i.e. after it has already
-     ground to its node quota. *)
+(* The BDD sets of one run. Every operation that can build nodes runs
+   under the node quota, tightened by what is left of the governor's BDD
+   pool and charged back to it, and polls the governor while the manager
+   grows. A blown quota stops the loop naming the binding resource; a
+   blown pool is a fatal trip, BDDs being this engine's primary
+   representation. [make_step] is built first, then init and bad. *)
+let sets man ~node_limit ~limits ~backward (model : Netlist.Model.t) make_step _checker =
   let poll () = if Util.Limits.check limits <> None then raise Bdd.Node_limit in
-  let verdict =
-    match Bdd.with_limit man ~poll ~max_nodes:node_limit (fun () -> body limits man iterations) with
-    | Ok v -> v
-    | Error `Node_limit -> (
-      match Util.Limits.exhausted limits with
-      | Some r -> Verdict.Undecided (Util.Limits.resource_name r)
-      | None ->
-        if pool_bound then begin
-          Util.Limits.trip limits Util.Limits.Bdd_nodes;
-          Verdict.Undecided (Util.Limits.resource_name Util.Limits.Bdd_nodes)
-        end
-        else Verdict.Undecided "node limit")
+  let guard f =
+    let before = Bdd.num_nodes man in
+    let pool = Option.map (( + ) before) (Util.Limits.bdd_budget limits) in
+    let pool_bound = match pool with Some p -> p < node_limit | None -> false in
+    let max_nodes = if pool_bound then Option.get pool else node_limit in
+    let r = Bdd.with_limit man ~poll ~max_nodes f in
+    Util.Limits.charge_bdd_nodes limits (Bdd.num_nodes man - before);
+    match (r, Util.Limits.exhausted limits) with
+    | Ok b, _ -> b
+    | Error `Node_limit, Some r -> raise (Cbq.Reachability.Stop (Util.Limits.resource_name r))
+    | Error `Node_limit, None when pool_bound ->
+      Util.Limits.trip limits Util.Limits.Bdd_nodes;
+      raise (Cbq.Reachability.Stop (Util.Limits.resource_name Util.Limits.Bdd_nodes))
+    | Error `Node_limit, None -> raise (Cbq.Reachability.Stop "node limit")
   in
-  Util.Limits.charge_bdd_nodes limits (Bdd.num_nodes man);
+  let tr = Sweep.Bdd_sweep.translator man (Netlist.Model.aig model) in
+  let of_lit l = tr [ l ] l in
+  let step = guard (fun () -> make_step man tr) in
+  let input_vars = Netlist.Model.input_vars model in
+  let init = guard (fun () -> of_lit (Netlist.Model.init_lit model)) in
+  let bad =
+    guard (fun () ->
+        Bdd.exists man (fun v -> List.mem v input_vars) (of_lit (Aig.not_ model.property)))
+  in
+  let binary op a b = guard (fun () -> op man a b) in
   {
-    verdict;
-    iterations = List.rev !iterations;
-    peak_nodes = Bdd.num_nodes man;
-    seconds = Util.Stopwatch.elapsed watch;
+    Cbq.Reachability.init;
+    bad;
+    backward;
+    step = (fun s -> { states = guard (fun () -> step s); eliminated = 0; kept = 0 });
+    meets = (fun a b -> if binary Bdd.and_ a b = Bdd.zero then Cnf.Checker.No else Yes);
+    and_ = binary Bdd.and_;
+    or_ = binary Bdd.or_;
+    not_ = (fun a -> guard (fun () -> Bdd.not_ man a));
+    size = Bdd.size man;
+    invariant = (fun _ -> None);
   }
 
-let backward ?(node_limit = 1_000_000) ?(max_iterations = 200)
-    ?(limits = Util.Limits.unlimited) model =
-  let aig = Netlist.Model.aig model in
-  let input_vars = Netlist.Model.input_vars model in
-  let is_input v = List.mem v input_vars in
-  run_engine ~limits ~node_limit ~body:(fun limits man iterations ->
-      let of_lit = make_translator man aig in
-      let next_bdd =
-        List.map
-          (fun l -> (l.Netlist.Model.state_var, of_lit l.Netlist.Model.next))
-          model.Netlist.Model.latches
-      in
-      let subst v = List.assoc_opt v next_bdd in
-      let init = of_lit (Netlist.Model.init_lit model) in
-      let bad = Bdd.exists man is_input (of_lit (Aig.not_ model.Netlist.Model.property)) in
-      if Bdd.and_ man init bad <> Bdd.zero then Verdict.Falsified 0
-      else begin
-        let reached = ref bad in
-        let frontier = ref bad in
-        let rec loop k =
-          match Util.Limits.check limits with
-          | Some r ->
-            Verdict.Undecided
-              (Printf.sprintf "%s (frame %d)" (Util.Limits.resource_name r) (k - 1))
-          | None ->
-          if k > max_iterations then Verdict.Undecided "iteration limit"
-          else begin
-            let pre = Bdd.exists man is_input (Bdd.compose man !frontier ~subst) in
-            let novel = Bdd.and_ man pre (Bdd.not_ man !reached) in
-            iterations :=
-              { index = k; frontier_nodes = Bdd.size man novel; reached_nodes = Bdd.size man !reached }
-              :: !iterations;
-            if Bdd.and_ man pre init <> Bdd.zero then Verdict.Falsified k
-            else if novel = Bdd.zero then Verdict.Proved
-            else begin
-              reached := Bdd.or_ man !reached novel;
-              frontier := novel;
-              loop (k + 1)
-            end
-          end
-        in
-        loop 1
-      end)
+let traverse ?(node_limit = 1_000_000) ?(config = Cbq.Reachability.default)
+    ?(limits = Util.Limits.unlimited) ~backward make_step model =
+  let man = Bdd.create () in
+  let reach =
+    Cbq.Reachability.frame_loop ~config ~limits model
+      (sets man ~node_limit ~limits ~backward model make_step)
+  in
+  { reach; bdd_nodes = Bdd.num_nodes man }
 
-let forward ?(node_limit = 1_000_000) ?(max_iterations = 200)
-    ?(limits = Util.Limits.unlimited) model =
-  let aig = Netlist.Model.aig model in
+(* the latches' next-state BDDs, translated in one pass *)
+let next_states tr (model : Netlist.Model.t) =
+  let bdd = tr (List.map (fun l -> l.Netlist.Model.next) model.latches) in
+  List.map (fun l -> (l.Netlist.Model.state_var, bdd l.Netlist.Model.next)) model.latches
+
+let backward ?node_limit ?config ?limits model =
   let input_vars = Netlist.Model.input_vars model in
-  let state_vars = Netlist.Model.state_vars model in
+  traverse ?node_limit ?config ?limits ~backward:true
+    (fun man tr ->
+      let next = next_states tr model in
+      fun frontier ->
+        Bdd.exists man
+          (fun v -> List.mem v input_vars)
+          (Bdd.compose man frontier ~subst:(fun v -> List.assoc_opt v next)))
+    model
+
+let forward ?node_limit ?config ?limits model =
   (* primed variables live above every model variable *)
-  let base = Aig.num_vars aig + 1 in
-  let primed = List.mapi (fun i v -> (v, base + i)) state_vars in
-  run_engine ~limits ~node_limit ~body:(fun limits man iterations ->
-      let of_lit = make_translator man aig in
+  let base = Aig.num_vars (Netlist.Model.aig model) + 1 in
+  let primed = List.mapi (fun i v -> (v, base + i)) (Netlist.Model.state_vars model) in
+  traverse ?node_limit ?config ?limits ~backward:false
+    (fun man tr ->
       let relation =
         List.fold_left
-          (fun acc l ->
-            let p = List.assoc l.Netlist.Model.state_var primed in
-            let eq = Bdd.iff_ man (Bdd.var_node man p) (of_lit l.Netlist.Model.next) in
-            Bdd.and_ man acc eq)
-          Bdd.one model.Netlist.Model.latches
+          (fun acc (v, next) ->
+            Bdd.and_ man acc (Bdd.iff_ man (Bdd.var_node man (List.assoc v primed)) next))
+          Bdd.one (next_states tr model)
       in
-      let is_unprimed v = v < base in
       let unprime = List.map (fun (v, p) -> (p, Bdd.var_node man v)) primed in
-      let image r =
-        let product = Bdd.and_ man relation r in
-        let primed_only = Bdd.exists man is_unprimed product in
-        Bdd.compose man primed_only ~subst:(fun v -> List.assoc_opt v unprime)
-      in
-      let init = of_lit (Netlist.Model.init_lit model) in
-      let bad =
-        Bdd.exists man (fun v -> List.mem v input_vars)
-          (of_lit (Aig.not_ model.Netlist.Model.property))
-      in
-      if Bdd.and_ man init bad <> Bdd.zero then Verdict.Falsified 0
-      else begin
-        let reached = ref init in
-        let frontier = ref init in
-        let rec loop k =
-          match Util.Limits.check limits with
-          | Some r ->
-            Verdict.Undecided
-              (Printf.sprintf "%s (frame %d)" (Util.Limits.resource_name r) (k - 1))
-          | None ->
-          if k > max_iterations then Verdict.Undecided "iteration limit"
-          else begin
-            let img = image !frontier in
-            let novel = Bdd.and_ man img (Bdd.not_ man !reached) in
-            iterations :=
-              { index = k; frontier_nodes = Bdd.size man novel; reached_nodes = Bdd.size man !reached }
-              :: !iterations;
-            if Bdd.and_ man img bad <> Bdd.zero then Verdict.Falsified k
-            else if novel = Bdd.zero then Verdict.Proved
-            else begin
-              reached := Bdd.or_ man !reached novel;
-              frontier := novel;
-              loop (k + 1)
-            end
-          end
-        in
-        loop 1
-      end)
+      fun frontier ->
+        let primed_only = Bdd.exists man (fun v -> v < base) (Bdd.and_ man relation frontier) in
+        Bdd.compose man primed_only ~subst:(fun v -> List.assoc_opt v unprime))
+    model

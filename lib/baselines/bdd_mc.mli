@@ -1,5 +1,9 @@
 (** The traditional engine the paper positions itself against: symbolic
-    reachability with canonical (BDD) state sets.
+    reachability with canonical (BDD) state sets, on the same frame loop
+    as circuit-based quantification ({!Cbq.Reachability.frame_loop}), so
+    only the set operations differ: the Maybe rules, the [reach.*]
+    telemetry and the counterexample trace are the loop's. A proof
+    carries no invariant.
 
     Pre-image composes the next-state BDDs into the frontier and
     existentially quantifies the inputs; forward image uses a monolithic
@@ -10,34 +14,31 @@
     [Undecided "node limit"] outcome, which is precisely the behaviour the
     comparison tables need to exhibit. *)
 
-type iteration = { index : int; frontier_nodes : int; reached_nodes : int }
-
 type result = {
-  verdict : Verdict.t;
-  iterations : iteration list;
-  peak_nodes : int; (* total BDD nodes allocated by the manager *)
-  seconds : float;
+  reach : Cbq.Reachability.result;
+      (** sizes in the iteration records and [peak_frontier] count BDD
+          nodes *)
+  bdd_nodes : int;  (** total BDD nodes allocated by the manager *)
 }
 
-val pp_result : Format.formatter -> result -> unit
-
-(** Backward reachability from [¬P] — the same traversal as
-    {!Cbq.Reachability} but with BDD state sets. [limits] is a run-wide
-    governor: its BDD node pool tightens [node_limit] (blowing the pool
-    is a fatal trip), its deadline is polled at every frame, and all
-    nodes the manager allocates are charged back to the pool. *)
+(** Backward reachability from [¬P]. [config] sets the iteration limit
+    and whether a counterexample trace is built; its quantification
+    settings do not apply. [limits] is a run-wide governor: every BDD
+    operation runs under [node_limit], tightened by what is left of the
+    governor's BDD node pool (blowing the pool is a fatal trip) and
+    charged to it, and polls the governor's deadline while it builds. *)
 val backward :
   ?node_limit:int ->
-  ?max_iterations:int ->
+  ?config:Cbq.Reachability.config ->
   ?limits:Util.Limits.t ->
   Netlist.Model.t ->
   result
 
 (** Forward reachability from the initial states, with a monolithic
-    transition relation. [limits] as in {!backward}. *)
+    transition relation. [config] and [limits] as in {!backward}. *)
 val forward :
   ?node_limit:int ->
-  ?max_iterations:int ->
+  ?config:Cbq.Reachability.config ->
   ?limits:Util.Limits.t ->
   Netlist.Model.t ->
   result

@@ -29,7 +29,7 @@ let enumerate checker ~limit ~used (q : Cbq.Quantify.result) =
 
 (* the in-lined frontier, every input and residual in its support left
    to enumeration *)
-let direction ~limit ~used env ~init ~bad =
+let direction ~limit ~used env =
   let model = env.Cbq.Reachability.model in
   let input_vars = Netlist.Model.input_vars model in
   let step frontier ~extra_vars =
@@ -42,7 +42,7 @@ let direction ~limit ~used env ~init ~bad =
     enumerate env.Cbq.Reachability.checker ~limit ~used
       { lit = inlined; eliminated = []; kept; reports = [] }
   in
-  { (Cbq.Reachability.backward env ~init ~bad) with step }
+  { (Cbq.Reachability.backward env) with step }
 
 let run ?(config = Cbq.Reachability.default) ?(max_enumerations = 10_000)
     ?(limits = Util.Limits.unlimited) model =

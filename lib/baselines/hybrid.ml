@@ -4,8 +4,8 @@ type result = Cofactor_preimage.result = {
 }
 
 (* the CBQ pre-image, then enumeration of whatever it kept *)
-let direction ~limit ~used env ~init ~bad =
-  let dir = Cbq.Reachability.backward env ~init ~bad in
+let direction ~limit ~used env =
+  let dir = Cbq.Reachability.backward env in
   let step frontier ~extra_vars =
     Result.bind (dir.step frontier ~extra_vars)
       (Cofactor_preimage.enumerate env.Cbq.Reachability.checker ~limit ~used)

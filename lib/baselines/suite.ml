@@ -15,8 +15,8 @@ type detail = {
   pp_frames : Format.formatter -> unit;
 }
 
-(* every engine that runs on the CBQ frame loop: both CBQ directions,
-   and the enumerating ones *)
+(* every engine on the frame loop: both CBQ directions, both BDD
+   directions and the enumerating ones *)
 let traversal
     (run :
       ?config:Cbq.Reachability.config ->
@@ -41,21 +41,6 @@ let traversal
           r.Cbq.Reachability.iterations);
   }
 
-let bdd r =
-  {
-    verdict = r.Bdd_mc.verdict;
-    trace = None;
-    invariant = None;
-    pp_result = (fun ppf -> Bdd_mc.pp_result ppf r);
-    pp_frames =
-      (fun ppf ->
-        List.iter
-          (fun it ->
-            Format.fprintf ppf "  iter %2d: frontier-bdd=%d reached-bdd=%d@." it.Bdd_mc.index
-              it.Bdd_mc.frontier_nodes it.Bdd_mc.reached_nodes)
-          r.Bdd_mc.iterations);
-  }
-
 let plain ?trace pp verdict r =
   { verdict; trace; invariant = None; pp_result = (fun ppf -> pp ppf r); pp_frames = ignore }
 
@@ -63,8 +48,10 @@ let table config =
   [
     ("cbq-bwd", traversal Cbq.Reachability.run config);
     ("cbq-fwd", traversal Cbq.Forward.run config);
-    ("bdd-bwd", fun ~limits m -> bdd (Bdd_mc.backward ~limits m));
-    ("bdd-fwd", fun ~limits m -> bdd (Bdd_mc.forward ~limits m));
+    ( "bdd-bwd",
+      traversal (fun ?config ?limits m -> (Bdd_mc.backward ?config ?limits m).reach) config );
+    ( "bdd-fwd",
+      traversal (fun ?config ?limits m -> (Bdd_mc.forward ?config ?limits m).reach) config );
     ( "bmc",
       fun ~limits m ->
         let r = Bmc.run ~max_depth:config.bmc_depth ~limits m in

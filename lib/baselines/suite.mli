@@ -17,10 +17,11 @@ type config = {
   bmc_depth : int;  (** BMC unrolling ceiling *)
   induction_k : int;  (** k-induction ceiling *)
   cbq : Cbq.Reachability.config;
-      (** configuration of the engines on the CBQ frame loop — both CBQ
+      (** configuration of the engines on the frame loop — both CBQ
           traversals, cofactor and hybrid (trace rebuilding, iteration
           limit, quantification, sweeping; hybrid tightens the growth
-          budget); the other engines ignore it *)
+          budget), and both BDD traversals (trace rebuilding and
+          iteration limit only); BMC and induction ignore it *)
 }
 
 val default_config : config

@@ -3,7 +3,7 @@
    free and [rebase] maps the primed next-state variables back to the
    current ones. Forward starts from the initial states, targets the bad
    states, and its reached set is itself the invariant. *)
-let image env ~init ~bad =
+let image env =
   let model = env.Reachability.model in
   let aig = Netlist.Model.aig model in
   let input_vars = Netlist.Model.input_vars model in
@@ -25,8 +25,7 @@ let image env ~init ~bad =
     Option.map (fun (s, _) -> Aig.var aig s) back
   in
   {
-    Reachability.initial = init;
-    target = bad;
+    Reachability.backward = false;
     step =
       (fun frontier ~extra_vars ->
         let product = Aig.and_ aig transition frontier in
@@ -39,7 +38,6 @@ let image env ~init ~bad =
           (Quantify.all ~config:env.Reachability.quant ~bank:env.Reachability.bank aig
              env.Reachability.checker ~prng:env.Reachability.prng product ~vars:to_quantify));
     rebase = (fun lit -> Aig.compose aig lit ~subst:unprime);
-    certificate = Fun.id;
   }
 
 let run ?(config = Reachability.default) ?(limits = Util.Limits.unlimited) model =

@@ -37,27 +37,9 @@ let pp_failure ppf = function
       (match format with `Ascii -> "ascii" | `Binary -> "binary")
       detail
 
-(* ---------- budgets ---------- *)
+type config = { budget : Util.Limits.budget; suite : Baselines.Suite.config }
 
-type budget = {
-  timeout : float option;
-  max_conflicts : int option;
-  max_aig_nodes : int option;
-  max_bdd_nodes : int option;
-}
-
-let no_budget =
-  { timeout = None; max_conflicts = None; max_aig_nodes = None; max_bdd_nodes = None }
-
-let limits_of_budget b =
-  if b = no_budget then Util.Limits.unlimited
-  else
-    Util.Limits.create ?timeout:b.timeout ?max_conflicts:b.max_conflicts
-      ?max_aig_nodes:b.max_aig_nodes ?max_bdd_nodes:b.max_bdd_nodes ()
-
-type config = { budget : budget; suite : Baselines.Suite.config }
-
-let default_config = { budget = no_budget; suite = Baselines.Suite.default_config }
+let default_config = { budget = Util.Limits.no_budget; suite = Baselines.Suite.default_config }
 
 (* ---------- differential ---------- *)
 
@@ -93,7 +75,7 @@ let run_engines_internal config m =
   List.map
     (fun (name, run) ->
       let instance = clone m in
-      match run ~limits:(limits_of_budget config.budget) instance with
+      match run ~limits:(Util.Limits.of_budget config.budget) instance with
       | verdict, trace ->
         let trace_problem =
           match (verdict, trace) with
@@ -161,7 +143,7 @@ let check_algebraic ?(config = default_config) m =
   let m = clone m in
   let aig = Netlist.Model.aig m in
   let checker = Cnf.Checker.create aig in
-  Cnf.Checker.set_limits checker (limits_of_budget config.budget);
+  Cnf.Checker.set_limits checker (Util.Limits.of_budget config.budget);
   let prng = Util.Prng.create 17 in
   let bad = Aig.not_ m.Netlist.Model.property in
   let next_lits = List.map (fun l -> l.Netlist.Model.next) m.Netlist.Model.latches in

@@ -16,9 +16,9 @@
       model, and all {e decided} verdicts must agree — [Undecided] is
       compatible with anything, so the same oracle fuzzes
       governor-degradation paths under a tiny {!Util.Limits} budget
-      without false alarms. Counterexample traces (CBQ, cofactor,
-      hybrid, BMC, induction) are additionally replayed against the
-      model.
+      without false alarms. Counterexample traces (CBQ and BDD in both
+      directions, cofactor, hybrid, BMC, induction) are additionally
+      replayed against the model.
 
     Every check is deterministic: fixed engine order, fixed PRNG seeds,
     fresh managers per engine. *)
@@ -45,26 +45,11 @@ val failure_label : failure -> string
 
 val pp_failure : Format.formatter -> failure -> unit
 
-(** {2 Resource budgets}
-
-    {!Util.Limits.t} governors are sticky one-shot objects, so the oracle
-    carries a budget {e specification} and mints a fresh governor per
-    engine run — each engine degrades (or not) on its own. *)
-
-type budget = {
-  timeout : float option;
-  max_conflicts : int option;
-  max_aig_nodes : int option;
-  max_bdd_nodes : int option;
-}
-
-(** All resources unlimited. *)
-val no_budget : budget
-
-val limits_of_budget : budget -> Util.Limits.t
-
 type config = {
-  budget : budget;
+  budget : Util.Limits.budget;
+      (** {!Util.Limits.t} governors are sticky one-shot objects, so the
+          oracle carries a budget and mints a fresh governor from it per
+          engine run: each engine degrades (or not) on its own *)
   suite : Baselines.Suite.config;
       (** the engines of the {e differential} layer, whose returned
           counterexamples are replayed *)

@@ -256,6 +256,8 @@ let write_binary m =
   Buffer.add_string buf (Printf.sprintf "c\nmodel %s\n" (Model.name m));
   Buffer.contents buf
 
+let max_binary_inputs = 1 lsl 20
+
 let read_binary ~name text =
   (* split the textual prefix (header, latches, outputs) from the binary
      AND section, which starts right after the output lines *)
@@ -271,6 +273,22 @@ let read_binary ~name text =
     line
   in
   let h = parse_header ~lineno:1 (read_line ()) in
+  (* the header is untrusted: before anything is allocated, the payload
+     must hold a line per latch and output and two bytes per AND, and
+     the inputs, which have no payload, are capped *)
+  let count_error n what = parse_error ~line:1 ~token:(string_of_int n) what in
+  if h.ni > max_binary_inputs then
+    count_error h.ni (Printf.sprintf "more than %d inputs" max_binary_inputs);
+  let rest = len - !pos in
+  let lines = ref (if rest > 0 && text.[len - 1] <> '\n' then 1 else 0) in
+  for i = !pos to len - 1 do
+    if text.[i] = '\n' then incr lines
+  done;
+  if h.nl > !lines || h.no > !lines - h.nl then
+    count_error (if h.nl > !lines then h.nl else h.no)
+      (Printf.sprintf "latch and output lines beyond the document's %d" !lines);
+  if h.na > rest / 2 then
+    count_error h.na (Printf.sprintf "ANDs beyond the document's %d payload bytes" rest);
   (* absolute 1-based line numbers in the textual prefix: header on line 1,
      latch i on line 1+i, output i on line 1+L+i; the binary AND section
      is reported against the line where it starts *)

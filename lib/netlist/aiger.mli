@@ -27,7 +27,16 @@ val read : name:string -> string -> Model.t
     input/latch literals and LEB128-delta-encoded AND gates. *)
 val write_binary : Model.t -> string
 
-(** [read_binary ~name s] parses the binary format. *)
+(** The most inputs a binary document may declare. Binary inputs are
+    implicit, with no payload to bound them; 2{^20}, far above every
+    registry and corpus model. *)
+val max_binary_inputs : int
+
+(** [read_binary ~name s] parses the binary format. Raises
+    {!Parse_error} on line 1, before allocating the model, for a header
+    declaring more than {!max_binary_inputs} inputs, more latch and
+    output lines than the document has, or more ANDs than half its
+    payload bytes. *)
 val read_binary : name:string -> string -> Model.t
 
 (** [read_file path] dispatches on the header ("aag" vs "aig"). *)

@@ -15,14 +15,14 @@
    [Error] on malformed frames instead of raising, so a hostile peer
    cannot kill the daemon with garbage. *)
 
-type budget = {
+type budget = Util.Limits.budget = {
   timeout : float option;
   max_conflicts : int option;
   max_aig_nodes : int option;
   max_bdd_nodes : int option;
 }
 
-let no_budget = { timeout = None; max_conflicts = None; max_aig_nodes = None; max_bdd_nodes = None }
+let no_budget = Util.Limits.no_budget
 
 (* The server-enforced ceiling: a client may ask for less than the
    ceiling, never more; an omitted client resource inherits the ceiling

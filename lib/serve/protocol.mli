@@ -11,7 +11,7 @@
 
 (** Per-job resource bounds, each [None] = unlimited. The server caps
     every submitted budget against its own ceiling with {!cap}. *)
-type budget = {
+type budget = Util.Limits.budget = {
   timeout : float option;
   max_conflicts : int option;
   max_aig_nodes : int option;

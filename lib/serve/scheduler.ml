@@ -154,13 +154,7 @@ let finish t job =
       t.completed <- t.completed + 1)
 
 let run_job t job =
-  let limits =
-    Obs.Limits.arm
-      (Util.Limits.create ?timeout:job.budget.Protocol.timeout
-         ?max_conflicts:job.budget.Protocol.max_conflicts
-         ?max_aig_nodes:job.budget.Protocol.max_aig_nodes
-         ?max_bdd_nodes:job.budget.Protocol.max_bdd_nodes ())
-  in
+  let limits = Obs.Limits.arm (Util.Limits.of_budget job.budget) in
   let dom = (Domain.self () :> int) in
   Mutex.protect t.mutex (fun () ->
       job.limits <- Some limits;

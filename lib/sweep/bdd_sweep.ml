@@ -1,3 +1,29 @@
+let translator ?(on_node = fun _ _ -> ()) man aig =
+  let memo = Util.Int_tbl.create 64 in
+  Util.Int_tbl.replace memo 0 Bdd.zero;
+  let bdd l =
+    let b = Util.Int_tbl.find memo (Aig.node_of_lit l) in
+    if Aig.is_complemented l then Bdd.not_ man b else b
+  in
+  let build n b =
+    Util.Int_tbl.replace memo n b;
+    on_node n b
+  in
+  fun roots ->
+    List.iter
+      (fun v ->
+        let n = Aig.node_of_lit (Aig.var aig v) in
+        if not (Util.Int_tbl.mem memo n) then build n (Bdd.var_node man v))
+      (Aig.support_list aig roots);
+    List.iter
+      (fun n ->
+        if not (Util.Int_tbl.mem memo n) then begin
+          let f0, f1 = Aig.fanins aig n in
+          build n (Bdd.and_ man (bdd f0) (bdd f1))
+        end)
+      (Aig.cone aig roots);
+    bdd
+
 type result = {
   merges : (int * Aig.lit) list;
   nodes_built : int;
@@ -7,20 +33,12 @@ type result = {
 
 let run aig ~roots ~max_nodes =
   let man = Bdd.create () in
-  let node_bdd : (int, Bdd.node) Hashtbl.t = Hashtbl.create 64 in
   (* canonical BDD -> literal that denotes it *)
   let seen : (Bdd.node, Aig.lit) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.replace seen Bdd.zero Aig.false_;
-  Hashtbl.replace node_bdd 0 Bdd.zero;
   let merges = ref [] in
   let built = ref 0 in
-  let aborted = ref false in
-  let bdd_of_lit l =
-    let b = Hashtbl.find node_bdd (Aig.node_of_lit l) in
-    if Aig.is_complemented l then Bdd.not_ man b else b
-  in
   let register n b =
-    Hashtbl.replace node_bdd n b;
     incr built;
     let nb = Bdd.not_ man b in
     let canon, phase = if nb < b then (nb, 1) else (b, 0) in
@@ -37,24 +55,13 @@ let run aig ~roots ~max_nodes =
       end
     | None -> Hashtbl.replace seen canon (Aig.lit_of_node n lxor phase)
   in
-  (* leaves first, in variable order, then AND nodes in topological order *)
-  let result =
-    Bdd.with_limit man ~max_nodes (fun () ->
-        List.iter
-          (fun v ->
-            let n = Aig.node_of_lit (Aig.var aig v) in
-            register n (Bdd.var_node man v))
-          (Aig.support_list aig roots);
-        List.iter
-          (fun n ->
-            let f0, f1 = Aig.fanins aig n in
-            register n (Bdd.and_ man (bdd_of_lit f0) (bdd_of_lit f1)))
-          (Aig.cone aig roots))
+  let aborted =
+    match
+      Bdd.with_limit man ~max_nodes (fun () ->
+          let (_ : Aig.lit -> Bdd.node) = translator ~on_node:register man aig roots in
+          ())
+    with
+    | Ok () -> false
+    | Error `Node_limit -> true
   in
-  (match result with Ok () -> () | Error `Node_limit -> aborted := true);
-  {
-    merges = List.rev !merges;
-    nodes_built = !built;
-    bdd_nodes = Bdd.num_nodes man;
-    aborted = !aborted;
-  }
+  { merges = List.rev !merges; nodes_built = !built; bdd_nodes = Bdd.num_nodes man; aborted }

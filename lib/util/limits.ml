@@ -35,6 +35,19 @@ let make ?timeout ?max_conflicts ?max_aig_nodes ?max_bdd_nodes () =
 let unlimited = make ()
 let create = make
 
+type budget = {
+  timeout : float option;
+  max_conflicts : int option;
+  max_aig_nodes : int option;
+  max_bdd_nodes : int option;
+}
+
+let no_budget = { timeout = None; max_conflicts = None; max_aig_nodes = None; max_bdd_nodes = None }
+
+let of_budget b =
+  make ?timeout:b.timeout ?max_conflicts:b.max_conflicts ?max_aig_nodes:b.max_aig_nodes
+    ?max_bdd_nodes:b.max_bdd_nodes ()
+
 let is_limited t =
   t.deadline <> None || t.conflicts_limited || t.max_aig_nodes <> None || t.bdd_limited
 

@@ -52,6 +52,21 @@ val create :
   unit ->
   t
 
+(** A governor's bounds as one value, each [None] = unlimited: what the
+    CLI flags, the serve protocol and the fuzz oracle carry. *)
+type budget = {
+  timeout : float option;
+  max_conflicts : int option;
+  max_aig_nodes : int option;
+  max_bdd_nodes : int option;
+}
+
+val no_budget : budget
+
+(** [of_budget b] is {!create} with [b]'s bounds: always a fresh
+    governor, so its owner may {!cancel} it, even for {!no_budget}. *)
+val of_budget : budget -> t
+
 (** [true] when at least one resource has a bound. *)
 val is_limited : t -> bool
 

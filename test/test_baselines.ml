@@ -48,6 +48,26 @@ let test_verdict_helpers () =
     (Baselines.Verdict.agrees_with_oracle (Baselines.Verdict.Undecided "x") ~safe:true
        ~depth:None)
 
+(* Every engine on the frame loop answers checkably: a counterexample
+   replays with the verdict's length, and (over AIG sets) a proof's
+   invariant certifies. *)
+let expect_trace name model status (r : Cbq.Reachability.result) =
+  expect_verdict name status r.verdict;
+  match (r.verdict, r.trace) with
+  | Baselines.Verdict.Falsified d, Some t ->
+    check bool (name ^ " trace replays") true (Cbq.Trace.check model t);
+    check int (name ^ " trace length") d (Cbq.Trace.length t)
+  | Baselines.Verdict.Falsified _, None -> Alcotest.fail (name ^ ": missing trace")
+  | (Baselines.Verdict.Proved | Baselines.Verdict.Undecided _), _ -> ()
+
+let expect_checkable name model status (r : Cbq.Reachability.result) =
+  expect_trace name model status r;
+  match (r.verdict, r.invariant) with
+  | Baselines.Verdict.Proved, Some invariant ->
+    check bool (name ^ " certificate") true (Cbq.Certify.check model ~invariant = Ok ())
+  | Baselines.Verdict.Proved, None -> Alcotest.fail (name ^ ": proved without a certificate")
+  | (Baselines.Verdict.Falsified _ | Baselines.Verdict.Undecided _), _ -> ()
+
 (* ---------- BDD engines ---------- *)
 
 let test_bdd_backward_oracles () =
@@ -55,7 +75,7 @@ let test_bdd_backward_oracles () =
     (fun (name, param) ->
       let model, status = Circuits.Registry.build name param in
       let r = Baselines.Bdd_mc.backward model in
-      expect_verdict ("bdd-bwd " ^ name) status r.Baselines.Bdd_mc.verdict)
+      expect_trace ("bdd-bwd " ^ name) model status r.reach)
     families
 
 let test_bdd_forward_oracles () =
@@ -63,24 +83,24 @@ let test_bdd_forward_oracles () =
     (fun (name, param) ->
       let model, status = Circuits.Registry.build name param in
       let r = Baselines.Bdd_mc.forward model in
-      expect_verdict ("bdd-fwd " ^ name) status r.Baselines.Bdd_mc.verdict)
+      expect_trace ("bdd-fwd " ^ name) model status r.reach)
     families
 
 let test_bdd_node_limit () =
   (* a tiny quota must surface as Undecided, not a crash or wrong verdict *)
   let model, _ = Circuits.Registry.build "gray" (Some 5) in
   let r = Baselines.Bdd_mc.backward ~node_limit:50 model in
-  check verdict_t "node limit reported" (Baselines.Verdict.Undecided "node limit")
-    r.Baselines.Bdd_mc.verdict;
-  check bool "peak within an order of the quota" true (r.Baselines.Bdd_mc.peak_nodes <= 100)
+  check verdict_t "node limit reported" (Baselines.Verdict.Undecided "node limit") r.reach.verdict;
+  check bool "peak within an order of the quota" true (r.bdd_nodes <= 100)
 
 let test_bdd_iteration_profile () =
   let model, _ = Circuits.Registry.build "counter" (Some 3) in
   let r = Baselines.Bdd_mc.backward model in
-  check int "iterations = depth" 7 (List.length r.Baselines.Bdd_mc.iterations);
+  check int "iterations = depth" 7 (List.length r.reach.iterations);
   List.iter
-    (fun it -> check bool "sizes recorded" true (it.Baselines.Bdd_mc.frontier_nodes >= 0))
-    r.Baselines.Bdd_mc.iterations
+    (fun (it : Cbq.Reachability.iteration) ->
+      check bool "sizes recorded" true (it.frontier_size >= 0))
+    r.reach.iterations
 
 (* ---------- BMC ---------- *)
 
@@ -168,23 +188,6 @@ let test_induction_needs_depth () =
   check bool "k > 0 needed" true (r.Baselines.Induction.k_used > 0)
 
 (* ---------- cofactor pre-image and hybrid ---------- *)
-
-(* the enumerating engines run on the CBQ frame loop, so their answers
-   are checkable like CBQ's: a counterexample replays with the verdict's
-   length, a proof's invariant certifies *)
-let expect_checkable name model status (r : Cbq.Reachability.result) =
-  expect_verdict name status r.verdict;
-  (match (r.verdict, r.trace) with
-  | Baselines.Verdict.Falsified d, Some t ->
-    check bool (name ^ " trace replays") true (Cbq.Trace.check model t);
-    check int (name ^ " trace length") d (Cbq.Trace.length t)
-  | Baselines.Verdict.Falsified _, None -> Alcotest.fail (name ^ ": missing trace")
-  | (Baselines.Verdict.Proved | Baselines.Verdict.Undecided _), _ -> ());
-  match (r.verdict, r.invariant) with
-  | Baselines.Verdict.Proved, Some invariant ->
-    check bool (name ^ " certificate") true (Cbq.Certify.check model ~invariant = Ok ())
-  | Baselines.Verdict.Proved, None -> Alcotest.fail (name ^ ": proved without a certificate")
-  | (Baselines.Verdict.Falsified _ | Baselines.Verdict.Undecided _), _ -> ()
 
 let test_cofactor_oracles () =
   List.iter

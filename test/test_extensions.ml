@@ -617,29 +617,8 @@ let block_matches_bdd =
       | Error _ -> false
       | Ok blocked ->
         let man = Bdd.create () in
-        let memo = Hashtbl.create 64 in
-        Hashtbl.replace memo 0 Bdd.zero;
-        let rec to_bdd l =
-          let n = Aig.node_of_lit l in
-          let b =
-            match Hashtbl.find_opt memo n with
-            | Some b -> b
-            | None ->
-              let b =
-                if Aig.is_and aig (Aig.lit_of_node n) then begin
-                  let f0, f1 = Aig.fanins aig n in
-                  Bdd.and_ man (to_bdd f0) (to_bdd f1)
-                end
-                else
-                  match Aig.var_of_lit aig (Aig.lit_of_node n) with
-                  | Some v -> Bdd.var_node man v
-                  | None -> Bdd.zero (* the constant node *)
-              in
-              Hashtbl.replace memo n b;
-              b
-          in
-          if Aig.is_complemented l then Bdd.not_ man b else b
-        in
+        let tr = Sweep.Bdd_sweep.translator man aig in
+        let to_bdd l = tr [ l ] l in
         let expected = Bdd.exists man (fun v -> v <= 1) (to_bdd cone.Circuits.Comb.root) in
         let got = to_bdd blocked in
         got = expected)

@@ -114,7 +114,7 @@ let test_oracle_budget_degrades_to_undecided () =
     {
       Fuzz.Oracle.default_config with
       Fuzz.Oracle.budget =
-        { Fuzz.Oracle.no_budget with Fuzz.Oracle.max_conflicts = Some 1; max_aig_nodes = Some 400 };
+        { Util.Limits.no_budget with max_conflicts = Some 1; max_aig_nodes = Some 400 };
     }
   in
   for seed = 1 to 10 do
@@ -133,7 +133,7 @@ let test_smoke_sweep_tiny_budget () =
   let config =
     {
       Fuzz.Oracle.default_config with
-      Fuzz.Oracle.budget = { Fuzz.Oracle.no_budget with Fuzz.Oracle.max_conflicts = Some 20 };
+      Fuzz.Oracle.budget = { Util.Limits.no_budget with max_conflicts = Some 20 };
     }
   in
   let r = Fuzz.Runner.run ~config ~shrink:false ~seed:2026 ~count:100 () in

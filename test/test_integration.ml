@@ -16,7 +16,7 @@ let run_all ?(bmc_depth = 30) make_model =
     | Cbq.Verdict.Undecided _ -> U
   in
   let cbq = of_verdict (Cbq.Reachability.run (make_model ())).Cbq.Reachability.verdict in
-  let bdd = of_verdict (Baselines.Bdd_mc.backward (make_model ())).Baselines.Bdd_mc.verdict in
+  let bdd = of_verdict (Baselines.Bdd_mc.backward (make_model ())).reach.Cbq.Reachability.verdict in
   let bmc =
     of_verdict (Baselines.Bmc.run ~max_depth:bmc_depth (make_model ())).Baselines.Bmc.verdict
   in

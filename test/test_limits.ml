@@ -362,17 +362,17 @@ let test_baselines_limited_verdicts_sound () =
           (Baselines.Cofactor_preimage.run ~limits:(limits ()) m).reach.Cbq.Reachability.verdict);
       run (fun m -> (Baselines.Hybrid.run ~limits:(limits ()) m).reach.Cbq.Reachability.verdict);
       run (fun m ->
-          (Baselines.Bdd_mc.backward ~limits:(Util.Limits.create ~max_bdd_nodes:40 ()) m)
-            .Baselines.Bdd_mc.verdict);
+          (Baselines.Bdd_mc.backward ~limits:(Util.Limits.create ~max_bdd_nodes:40 ()) m).reach
+            .Cbq.Reachability.verdict);
       run (fun m ->
-          (Baselines.Bdd_mc.forward ~limits:(Util.Limits.create ~timeout:0.0 ()) m)
-            .Baselines.Bdd_mc.verdict))
+          (Baselines.Bdd_mc.forward ~limits:(Util.Limits.create ~timeout:0.0 ()) m).reach
+            .Cbq.Reachability.verdict))
     families
 
 let test_bdd_engine_names_the_pool () =
   let model, _ = Circuits.Registry.build "counter" (Some 4) in
   let r = Baselines.Bdd_mc.backward ~limits:(Util.Limits.create ~max_bdd_nodes:10 ()) model in
-  match r.Baselines.Bdd_mc.verdict with
+  match r.reach.Cbq.Reachability.verdict with
   | Baselines.Verdict.Undecided why ->
     check string "verdict names the pool" "bdd node pool" why
   | _ -> Alcotest.fail "tiny bdd pool must leave the verdict undecided"

@@ -207,6 +207,17 @@ let test_aiger_parse_error_details () =
   let binary = Netlist.Aiger.read_binary ~name:"t" in
   expect_error "binary latch token" binary "aig 2 1 1 1 0\nzz\n4\n" ~line:2 ~token:"zz";
   expect_error "binary output token" binary "aig 2 1 1 1 0\n4 0\nzz\n" ~line:3 ~token:"zz";
+  (* binary header counts are checked before anything is allocated:
+     implicit inputs against the reader's cap, latch and output lines
+     and AND bytes against the payload *)
+  expect_error "binary inputs over the cap" binary "aig 3000000 3000000 0 1 0\n2\n" ~line:1
+    ~token:"3000000";
+  expect_error "binary inputs far over the cap" binary "aig 500000000 500000000 0 1 0\n2\n"
+    ~line:1 ~token:"500000000";
+  expect_error "binary lines beyond the document" binary "aig 5 1 4 1 0\n4\n2\n" ~line:1
+    ~token:"4";
+  expect_error "binary ANDs beyond the payload" binary "aig 5 1 1 1 3\n4\n2\n" ~line:1
+    ~token:"3";
   (* registered printer renders the diagnostic *)
   let contains s sub =
     let n = String.length s and m = String.length sub in

@@ -295,7 +295,13 @@ let test_traversal_provenance () =
   (* the factorized checker drives the solver through the wrapper *)
   nonzero "cnf.queries";
   nonzero "sat.solve_calls";
-  nonzero "aig.strash_hits"
+  nonzero "aig.strash_hits";
+  (* the BDD engines run on the same frame loop, so they count alike *)
+  Obs.reset ();
+  let b = Baselines.Bdd_mc.forward ~config (Circuits.Families.counter ~bits:4) in
+  check int "one counted iteration per recorded one (bdd-fwd)"
+    (List.length b.reach.Cbq.Reachability.iterations)
+    (Obs.value_of "reach.iterations")
 
 let test_bench_row_isolation () =
   (* the bench harness pattern: one telemetry window per experiment row,

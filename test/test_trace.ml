@@ -201,6 +201,20 @@ let test_traced_traversal () =
       check bool (Printf.sprintf "traversal emitted %S" expected) true
         (List.mem expected names))
     [ "reach.frame"; "preimage.compute"; "quantify.var"; "sweep.run"; "sat.solve" ];
+  (* a BDD run whose node quota blows inside a frame must close that frame *)
+  let frames_begun () =
+    List.length
+      (List.filter
+         (fun e -> e.Obs.Trace_events.ev_name = "reach.frame" && e.Obs.Trace_events.ev_ph = 'B')
+         (Obs.Trace_events.events ()))
+  in
+  let cbq_frames = frames_begun () in
+  let model, _ = Circuits.Registry.build "counter" (Some 4) in
+  let r = Baselines.Bdd_mc.backward ~node_limit:100 model in
+  check bool "bdd-bwd stopped by its quota" true
+    (r.reach.Cbq.Reachability.verdict = Cbq.Verdict.Undecided "node limit");
+  check bool "inside a frame" true
+    (frames_begun () - cbq_frames > List.length r.reach.Cbq.Reachability.iterations);
   (* per-name begin/end balance: the engines close every phase they open *)
   let tally = Hashtbl.create 8 in
   List.iter
