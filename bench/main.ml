@@ -17,7 +17,6 @@
      SIM    bit-parallel simulation vs the retired per-pattern engine
      SAT    SAT-core rows (pigeonhole, random k-SAT, assumptions, BMC)
      PAR    portfolio racing, sharded fuzzing
-     SERVE  job-daemon throughput, cancellation and store append cost
 
    Usage:
      dune exec bench/main.exe            -- every suite
@@ -34,8 +33,8 @@
                                             engine row (rows degrade to
                                             UNDECIDED instead of stalling)
 
-   An unknown id or flag exits 2; a failed correctness check of SIM,
-   PAR or SERVE makes the harness exit 1 after the selected suites ran. *)
+   An unknown id or flag exits 2; a failed correctness check of SIM or
+   PAR makes the harness exit 1 after the selected suites ran. *)
 
 open Harness
 
@@ -342,6 +341,10 @@ let t4_run_engines name param =
     rows := { engine; verdict; iters; peak; secs } :: !rows
   in
   let vs v = Format.asprintf "%a" Baselines.Verdict.pp v in
+  (* peak = SAT decisions for the engines on the deepening loop *)
+  let add_deepening engine (r : Cbq.Unroll.result) dt =
+    add engine (vs r.verdict) r.depth r.solver.Sat.Solver.decisions dt
+  in
   (let m = build () in
    let r, dt = Util.Stopwatch.time (fun () -> Cbq.Reachability.run ~config:no_trace ~limits:(row_limits ()) m) in
    add "cbq" (vs r.Cbq.Reachability.verdict) (List.length r.Cbq.Reachability.iterations)
@@ -354,12 +357,10 @@ let t4_run_engines name param =
    add "bdd-fwd" (vs r.reach.verdict) (List.length r.reach.iterations) r.bdd_nodes dt);
   (let m = build () in
    let r, dt = Util.Stopwatch.time (fun () -> Baselines.Bmc.run ~max_depth:64 ~limits:(row_limits ()) m) in
-   add "bmc" (vs r.Baselines.Bmc.verdict) r.Baselines.Bmc.depth_reached
-     r.Baselines.Bmc.solver.Sat.Solver.decisions dt);
+   add_deepening "bmc" r.Baselines.Bmc.search dt);
   (let m = build () in
    let r, dt = Util.Stopwatch.time (fun () -> Baselines.Induction.run ~max_k:40 ~limits:(row_limits ()) m) in
-   add "induction" (vs r.Baselines.Induction.verdict) r.Baselines.Induction.k_used
-     r.Baselines.Induction.solver.Sat.Solver.decisions dt);
+   add_deepening "induction" r dt);
   let add_reach engine (r : Cbq.Reachability.result) dt =
     add engine (vs r.verdict) (List.length r.iterations) r.peak_frontier dt
   in
@@ -460,15 +461,15 @@ let t5 () =
     (fun (name, param) ->
       let m1, _ = Circuits.Registry.build name param in
       with_report ("t5-bmc-" ^ Netlist.Model.name m1) @@ fun () ->
-      let r1 = Baselines.Bmc.run ~max_depth:40 m1 in
+      let r1 = (Baselines.Bmc.run ~max_depth:40 m1).Baselines.Bmc.search in
       line "%-16s %-8s %10d %10d %12d@." (Netlist.Model.name m1) "plain"
-        r1.Baselines.Bmc.solver.Sat.Solver.decisions
-        r1.Baselines.Bmc.solver.Sat.Solver.conflicts 0;
+        r1.Cbq.Unroll.solver.Sat.Solver.decisions r1.Cbq.Unroll.solver.Sat.Solver.conflicts 0;
       let m2, _ = Circuits.Registry.build name param in
       let r2 = Baselines.Bmc.run ~max_depth:40 ~preprocess:true m2 in
       line "%-16s %-8s %10d %10d %12d@." "" "cbq-prep"
-        r2.Baselines.Bmc.solver.Sat.Solver.decisions
-        r2.Baselines.Bmc.solver.Sat.Solver.conflicts r2.Baselines.Bmc.inputs_eliminated)
+        r2.Baselines.Bmc.search.Cbq.Unroll.solver.Sat.Solver.decisions
+        r2.Baselines.Bmc.search.Cbq.Unroll.solver.Sat.Solver.conflicts
+        r2.Baselines.Bmc.inputs_eliminated)
     (if !quick then [ ("counter", Some 4) ]
      else [ ("counter", Some 4); ("fifo-buggy", Some 3); ("accumulator", Some 4) ]);
   (* downstream effect: enumerations needed with vs without preprocessing *)
@@ -727,7 +728,6 @@ let suites =
     ("T1", t1); ("T2", t2); ("T3", t3); ("T4", t4); ("T5", t5); ("T6", t6); ("F1", f1);
     ("F2", f2); ("T7", t7); ("T8", t8); ("A2", a2); ("B1", b1);
     ("SIM", Sim_bench.run); ("SAT", Sat_bench.run); ("PAR", Par_bench.run);
-    ("SERVE", Serve_bench.run);
   ]
 
 let usage arg =

@@ -147,14 +147,14 @@ let run_bmc row ~bits =
   let tally = { sat = 0; unsat = 0; unknown = 0 } in
   let watch = Util.Stopwatch.start () in
   let model = Circuits.Families.counter ~bits in
-  let r = Baselines.Bmc.run ~max_depth:((1 lsl bits) - 1) model in
-  (match r.Baselines.Bmc.verdict with
+  let r = (Baselines.Bmc.run ~max_depth:((1 lsl bits) - 1) model).Baselines.Bmc.search in
+  (match r.Cbq.Unroll.verdict with
   | Baselines.Verdict.Falsified d ->
     tally.sat <- 1;
     Obs.add (row_counter row "cex_depth") d
   | Baselines.Verdict.Proved -> tally.unsat <- 1
   | Baselines.Verdict.Undecided _ -> tally.unknown <- 1);
-  let st = r.Baselines.Bmc.solver in
+  let st = r.Cbq.Unroll.solver in
   record_row row tally st.Sat.Solver.conflicts st.Sat.Solver.decisions
     st.Sat.Solver.propagations
     (Util.Stopwatch.elapsed watch)

@@ -40,9 +40,9 @@ let () =
 
   (* 2. cross-check with the BMC baseline *)
   let model_b = Circuits.Families.fifo ~buggy:true ~depth_log () in
-  let bmc = Baselines.Bmc.run ~max_depth:32 model_b in
-  Format.printf "bmc cross-check:  %a@." Baselines.Bmc.pp_result bmc;
-  (match bmc.Baselines.Bmc.trace with
+  let bmc = (Baselines.Bmc.run ~max_depth:32 model_b).Baselines.Bmc.search in
+  Format.printf "bmc cross-check:  %a@." Cbq.Unroll.pp_result bmc;
+  (match bmc.Cbq.Unroll.trace with
   | Some t -> Format.printf "  bmc trace replays: %b@." (Cbq.Trace.check model_b t)
   | None -> ());
 
@@ -52,4 +52,4 @@ let () =
   Format.printf "guarded fifo (cbq):       %a@." Cbq.Reachability.pp_result rg;
   let good_b = Circuits.Families.fifo ~depth_log () in
   let ind = Baselines.Induction.run good_b in
-  Format.printf "guarded fifo (induction): %a@." Baselines.Induction.pp_result ind
+  Format.printf "guarded fifo (induction): %a@." Cbq.Unroll.pp_result ind

@@ -70,8 +70,6 @@ let var t v =
 
 let kind0 t n = Util.Vec_int.get t.fanin0 n
 let is_const l = node_of_lit l = 0
-let is_var t l = kind0 t (node_of_lit l) = -1
-let is_and t l = kind0 t (node_of_lit l) >= 0
 
 let var_of_lit t l =
   let n = node_of_lit l in
@@ -506,15 +504,6 @@ let eval3 t l env =
     Util.Int_tbl.replace table n (if kind0 t n = -1 then env (Util.Vec_int.get t.fanin1 n) else Some false);
   value_of_lit l
 
-let pp_lit t ppf l =
-  if l = false_ then Format.pp_print_string ppf "0"
-  else if l = true_ then Format.pp_print_string ppf "1"
-  else
-    let sign = if is_complemented l then "~" else "" in
-    match var_of_lit t l with
-    | Some v -> Format.fprintf ppf "%sx%d" sign v
-    | None -> Format.fprintf ppf "%sn%d" sign (node_of_lit l)
-
 type stats = { nodes : int; ands : int; vars : int; strash_hits : int; rewrites : int }
 
 let stats t =
@@ -525,7 +514,3 @@ let stats t =
     strash_hits = t.strash_hits;
     rewrites = t.rewrites;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "nodes=%d ands=%d vars=%d strash-hits=%d rewrites=%d" s.nodes s.ands
-    s.vars s.strash_hits s.rewrites

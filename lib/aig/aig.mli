@@ -65,8 +65,6 @@ val node_of_lit : lit -> int
 val is_complemented : lit -> bool
 val lit_of_node : int -> lit
 val is_const : lit -> bool
-val is_var : t -> lit -> bool
-val is_and : t -> lit -> bool
 
 (** Fanins of an AND node (as literals). Raises [Invalid_argument] on
     non-AND nodes. *)
@@ -176,9 +174,6 @@ val lit_word : lit -> int64 -> int64
 
 (** {1 Reporting} *)
 
-val pp_lit : t -> Format.formatter -> lit -> unit
-
 type stats = { nodes : int; ands : int; vars : int; strash_hits : int; rewrites : int }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

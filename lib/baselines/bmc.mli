@@ -2,24 +2,19 @@
     baseline and as the downstream SAT engine that the paper's partial
     quantification feeds (experiment T5).
 
-    The model is unrolled functionally ({!Cbq.Unroll}), so each depth is a
-    single satisfiability query over the frame-input variables; the solver
-    and its learned clauses persist across depths. *)
+    The model is unrolled functionally, so each depth is a single
+    satisfiability query over the frame-input variables, asked on
+    {!Cbq.Unroll.deepen}; the solver and its learned clauses persist
+    across depths. *)
 
 type result = {
-  verdict : Verdict.t; (* [Proved] never occurs: BMC only refutes *)
-  trace : Cbq.Trace.t option;
-  depth_reached : int;
-  inputs_eliminated : int; (* by CBQ preprocessing, when enabled *)
-  solver : Sat.Solver.stats;
-  seconds : float;
+  search : Cbq.Unroll.result;  (** [Proved] never occurs: BMC only refutes *)
+  inputs_eliminated : int;  (** by CBQ preprocessing, when enabled *)
 }
 
-val pp_result : Format.formatter -> result -> unit
-
 (** [run ?max_depth ?preprocess m] searches for a counterexample of
-    length [0..max_depth]. [Undecided] reports the bound that stopped the
-    search.
+    length [0..max_depth]. [Undecided "bound N"] reports the bound that
+    stopped the search.
 
     [~preprocess:true] enables the paper's §4 combination: before each
     depth's SAT call, circuit-based quantification (with a strict growth
@@ -32,14 +27,3 @@ val pp_result : Format.formatter -> result -> unit
     with [Undecided] naming the resource and the depth reached. *)
 val run :
   ?max_depth:int -> ?preprocess:bool -> ?limits:Util.Limits.t -> Netlist.Model.t -> result
-
-(** [run_with_frontier m ~frontier ~max_depth] — BMC towards an arbitrary
-    state set instead of [¬P]: find a path from the initial states into
-    [frontier] (a literal over state variables). Used by tests that
-    cross-validate CBQ frontiers. *)
-val run_with_frontier :
-  ?limits:Util.Limits.t ->
-  Netlist.Model.t ->
-  frontier:Aig.lit ->
-  max_depth:int ->
-  result

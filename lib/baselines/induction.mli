@@ -1,5 +1,6 @@
 (** k-induction (Sheeran, Singh & Stålmarck, FMCAD'00) — the unbounded
-    SAT-based baseline of paper §4.
+    SAT-based baseline of paper §4, one base+step round per depth of
+    {!Cbq.Unroll.deepen}.
 
     Round [k] checks the {e base} case (no counterexample of length [k],
     shared with the BMC unrolling) and the {e step} case: a loop-free path
@@ -7,18 +8,8 @@
     Simple-path (pairwise-distinct states) constraints make the method
     complete on finite models. *)
 
-type result = {
-  verdict : Verdict.t;
-  k_used : int; (* induction depth at the final round *)
-  trace : Cbq.Trace.t option; (* on falsification *)
-  solver : Sat.Solver.stats;
-  seconds : float;
-}
-
-val pp_result : Format.formatter -> result -> unit
-
-(** [run ?max_k ?limits m]. [Undecided] when no round up to [max_k]
-    converges (possible only on a model with more than [max_k + 1]
-    states) or when the [limits] governor trips mid-run — the message
-    then names the resource and the round reached. *)
-val run : ?max_k:int -> ?limits:Util.Limits.t -> Netlist.Model.t -> result
+(** [run ?max_k ?limits m]. [Undecided "no convergence by k=N"] when no
+    round up to [max_k] converges (possible only on a model with more
+    than [max_k + 1] states); a [limits] trip mid-run names the resource
+    and the round reached. A proof's [depth] is the [k] that closed it. *)
+val run : ?max_k:int -> ?limits:Util.Limits.t -> Netlist.Model.t -> Cbq.Unroll.result

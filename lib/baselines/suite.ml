@@ -41,8 +41,15 @@ let traversal
           r.Cbq.Reachability.iterations);
   }
 
-let plain ?trace pp verdict r =
-  { verdict; trace; invariant = None; pp_result = (fun ppf -> pp ppf r); pp_frames = ignore }
+(* both engines on the deepening loop *)
+let bounded (r : Cbq.Unroll.result) =
+  {
+    verdict = r.verdict;
+    trace = r.trace;
+    invariant = None;
+    pp_result = (fun ppf -> Cbq.Unroll.pp_result ppf r);
+    pp_frames = ignore;
+  }
 
 let table config =
   [
@@ -52,14 +59,8 @@ let table config =
       traversal (fun ?config ?limits m -> (Bdd_mc.backward ?config ?limits m).reach) config );
     ( "bdd-fwd",
       traversal (fun ?config ?limits m -> (Bdd_mc.forward ?config ?limits m).reach) config );
-    ( "bmc",
-      fun ~limits m ->
-        let r = Bmc.run ~max_depth:config.bmc_depth ~limits m in
-        plain ?trace:r.Bmc.trace Bmc.pp_result r.Bmc.verdict r );
-    ( "induction",
-      fun ~limits m ->
-        let r = Induction.run ~max_k:config.induction_k ~limits m in
-        plain ?trace:r.Induction.trace Induction.pp_result r.Induction.verdict r );
+    ("bmc", fun ~limits m -> bounded (Bmc.run ~max_depth:config.bmc_depth ~limits m).search);
+    ("induction", fun ~limits m -> bounded (Induction.run ~max_k:config.induction_k ~limits m));
     ( "cofactor",
       traversal (fun ?config ?limits m -> (Cofactor_preimage.run ?config ?limits m).reach) config
     );

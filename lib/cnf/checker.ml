@@ -22,7 +22,6 @@ let create aig =
     cutoffs = 0;
   }
 
-let tseitin t = t.ts
 let aig t = Tseitin.aig t.ts
 let set_conflict_limit t n = t.conflict_limit <- n
 let set_limits t l = t.limits <- l

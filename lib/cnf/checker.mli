@@ -14,7 +14,6 @@ type t
 type answer = Yes | No | Maybe
 
 val create : Aig.t -> t
-val tseitin : t -> Tseitin.t
 val aig : t -> Aig.t
 
 (** [set_conflict_limit t n] bounds every subsequent query ([None] removes

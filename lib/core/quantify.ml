@@ -162,10 +162,6 @@ let one ?(config = default) ?bank aig checker ~prng l v =
     ((if aborted then Error result else Ok result), report)
   end
 
-let forall ?(config = default) ?bank aig checker ~prng l v =
-  let result, report = one ~config ?bank aig checker ~prng (Aig.not_ l) v in
-  (Result.fold ~ok:(fun r -> Ok (Aig.not_ r)) ~error:(fun r -> Error (Aig.not_ r)) result, report)
-
 let block ?(config = default) ?bank aig checker ~prng l ~vars =
   let vars = List.sort_uniq Int.compare (List.filter (Aig.depends_on aig l) vars) in
   let k = List.length vars in

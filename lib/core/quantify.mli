@@ -71,18 +71,6 @@ val one :
   Aig.var ->
   (Aig.lit, Aig.lit) result * var_report
 
-(** [forall ?config aig checker ~prng l v] — universal quantification via
-    duality: [∀v.F = ¬∃v.¬F]. Same budget semantics as {!one}. *)
-val forall :
-  ?config:config ->
-  ?bank:Sweep.Pattern_bank.t ->
-  Aig.t ->
-  Cnf.Checker.t ->
-  prng:Util.Prng.t ->
-  Aig.lit ->
-  Aig.var ->
-  (Aig.lit, Aig.lit) result * var_report
-
 (** [block ?config aig checker ~prng l ~vars] eliminates a {e set} of up
     to 6 variables in one step: all [2^k] cofactors are computed, swept
     {e jointly} (so merge points across every pair of cofactors are

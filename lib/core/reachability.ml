@@ -71,10 +71,9 @@ let exact_answer checker lits =
    conflict pool or the deadline — leaves the verdict without one. *)
 let find_cex model checker ~depth =
   let unroll = Unroll.create model in
-  match exact_answer checker [ Unroll.bad_at unroll depth ] with
-  | Cnf.Checker.Yes ->
-    Some (Unroll.trace_from_model unroll ~depth ~value:(Cnf.Checker.model_var checker))
-  | Cnf.Checker.No | Cnf.Checker.Maybe -> None
+  match Unroll.cex_at unroll checker ~target:(Unroll.bad_at unroll depth) ~depth with
+  | Unroll.Cex trace -> Some trace
+  | Unroll.Proof | Unroll.Deeper | Unroll.Maybe -> None
 
 (* ---------- the frame loop, over any state-set representation ---------- *)
 

@@ -79,3 +79,56 @@ let trace_from_model t ~depth ~value =
         fun v -> (try List.assoc v bindings with Not_found -> false))
   in
   Trace.of_inputs t.model frames
+
+(* ---------- the deepening loop ---------- *)
+
+type round = Cex of Trace.t | Proof | Deeper | Maybe
+
+let cex_at t checker ~target ~depth =
+  Cnf.Checker.set_conflict_limit checker None;
+  match Cnf.Checker.satisfiable checker [ target ] with
+  | Cnf.Checker.Yes -> Cex (trace_from_model t ~depth ~value:(Cnf.Checker.model_var checker))
+  | Cnf.Checker.No -> Deeper
+  | Cnf.Checker.Maybe -> Maybe
+
+type result = {
+  verdict : Verdict.t;
+  trace : Trace.t option;
+  depth : int;
+  solver : Sat.Solver.stats;
+  seconds : float;
+}
+
+let pp_result ppf r =
+  Format.fprintf ppf "%a depth=%d decisions=%d conflicts=%d %.3fs" Verdict.pp r.verdict r.depth
+    r.solver.Sat.Solver.decisions r.solver.Sat.Solver.conflicts r.seconds
+
+let deepen ~limits ~max_depth ~bound model query =
+  let watch = Util.Stopwatch.start () in
+  let limits = Obs.Limits.arm limits in
+  let checker = Cnf.Checker.create (Netlist.Model.aig model) in
+  Cnf.Checker.set_limits checker limits;
+  let at = query checker in
+  let finish ?trace verdict depth =
+    {
+      verdict;
+      trace;
+      depth;
+      solver = Cnf.Checker.solver_stats checker;
+      seconds = Util.Stopwatch.elapsed watch;
+    }
+  in
+  let undecided why k = finish (Verdict.Undecided (Printf.sprintf "%s (depth %d)" why k)) k in
+  let rec go k =
+    match Util.Limits.check limits with
+    | Some r -> undecided (Util.Limits.resource_name r) k
+    | None when k > max_depth -> finish (Verdict.Undecided bound) max_depth
+    | None -> (
+      match at k with
+      | Cex trace -> finish ~trace (Verdict.Falsified k) k
+      | Proof -> finish Verdict.Proved k
+      | Deeper -> go (k + 1)
+      (* no query has a conflict limit: only the governor answers Maybe *)
+      | Maybe -> undecided (Util.Limits.maybe_reason limits) k)
+  in
+  go 0

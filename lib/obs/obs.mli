@@ -321,16 +321,10 @@ end
 module Sampler : sig
   type t
 
-  (** 0.05 s. *)
-  val default_interval : float
-
-  (** The counters sampled when [?counters] is omitted: SAT pressure
-      and fixed-point progress. *)
-  val default_counters : string list
-
   (** Take the [t = 0] sample and spawn the sampling domain. [interval]
-      is seconds between samples (default {!default_interval}, must be
-      positive); [counters] names the registry counters to record;
+      is seconds between samples (default 0.05, must be positive);
+      [counters] names the registry counters to record (default: SAT
+      pressure, fixed-point progress and quantification aborts);
       [limits] adds the governor's remaining budgets (deadline seconds,
       conflict pool, BDD pool, AIG headroom) to every point. *)
   val start :

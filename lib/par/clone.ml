@@ -7,8 +7,6 @@ let freeze m =
   Obs.incr obs_frozen;
   { fr_name = Netlist.Model.name m; fr_bytes = Netlist.Aiger.write_binary m }
 
-let name f = f.fr_name
-
 let thaw f =
   Obs.incr obs_thawed;
   Netlist.Aiger.read_binary ~name:f.fr_name f.fr_bytes

@@ -24,7 +24,6 @@
 type frozen
 
 val freeze : Netlist.Model.t -> frozen
-val name : frozen -> string
 
 (** Build a fresh model from the frozen bytes. Every call returns a new
     manager; thawing on the consuming domain keeps allocation local. *)

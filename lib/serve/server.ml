@@ -36,13 +36,17 @@ type conn = {
   jmutex : Mutex.t;
 }
 
+(* a connection's handler domain; its socket is closed only once the
+   domain is joined, so no fd number here can have been reused *)
+type handler = { hfd : Unix.file_descr; domain : unit Domain.t; finished : bool Atomic.t }
+
 type t = {
   scheduler : Scheduler.t;
   address : Protocol.address; (* actual bound address (TCP port resolved) *)
   listen_fd : Unix.file_descr;
   unix_path : string option; (* to unlink at teardown *)
   stop : bool Atomic.t;
-  handlers : (Unix.file_descr * unit Domain.t) list Atomic.t;
+  mutable handlers : handler list; (* the accept domain's, then [wait]'s once it is joined *)
   accept_domain : unit Domain.t option Atomic.t;
   store : Obs.Store.t option;
 }
@@ -187,7 +191,7 @@ let rec read_frame r =
     end
   end
 
-let handler t fd =
+let handler t fd finished =
   Obs.incr obs_connections;
   let conn =
     {
@@ -224,7 +228,36 @@ let handler t fd =
   (* EOF or stop: whatever this client still has in flight is orphaned *)
   Mutex.protect conn.wmutex (fun () -> conn.dead <- true);
   cancel_conn_jobs t conn;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ())
+  (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  Atomic.set finished true
+
+(* OCaml 5 runs at most 128 domains at once, and every connection's
+   handler is one: past this many live handlers a connection is refused,
+   which leaves the rest for the workers and the racers they spawn *)
+let max_connections = 64
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* join the handlers whose connection has ended, and close their sockets *)
+let reap t =
+  let finished, live = List.partition (fun h -> Atomic.get h.finished) t.handlers in
+  List.iter
+    (fun h ->
+      Domain.join h.domain;
+      close_quietly h.hfd)
+    finished;
+  t.handlers <- live
+
+(* a connection no handler takes: one protocol error, then hang up *)
+let refuse fd reason =
+  Obs.incr obs_protocol_errors;
+  let line =
+    Protocol.event_to_line (Protocol.Protocol_error { message = "connection refused: " ^ reason })
+    ^ "\n"
+  in
+  (try ignore (Unix.write_substring fd line 0 (String.length line))
+   with Unix.Unix_error _ -> ());
+  close_quietly fd
 
 let rec accept_loop t =
   if not (Atomic.get t.stop) then begin
@@ -232,12 +265,14 @@ let rec accept_loop t =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop t
     | exception Unix.Unix_error _ -> () (* listener shut down *)
     | fd, _peer ->
-      let d = Domain.spawn (fun () -> handler t fd) in
-      let rec push () =
-        let old = Atomic.get t.handlers in
-        if not (Atomic.compare_and_set t.handlers old ((fd, d) :: old)) then push ()
-      in
-      push ();
+      reap t;
+      (if List.length t.handlers >= max_connections then
+         refuse fd (Printf.sprintf "the daemon serves at most %d connections" max_connections)
+       else
+         let finished = Atomic.make false in
+         match Domain.spawn (fun () -> handler t fd finished) with
+         | domain -> t.handlers <- { hfd = fd; domain; finished } :: t.handlers
+         | exception Failure reason -> refuse fd reason);
       accept_loop t
   end
 
@@ -278,7 +313,7 @@ let start ?jobs ?ceiling ?store address =
       listen_fd;
       unix_path;
       stop = Atomic.make false;
-      handlers = Atomic.make [];
+      handlers = [];
       accept_domain = Atomic.make None;
       store;
     }
@@ -301,18 +336,17 @@ let wait t =
      stream their terminal events before their sockets go away *)
   Scheduler.shutdown t.scheduler;
   (* connections still reading would block their handler joins forever;
-     shutting the sockets down unblocks [input_line] with EOF *)
-  let handlers = Atomic.get t.handlers in
+     shutting the sockets down unblocks their reads with EOF *)
   List.iter
-    (fun (fd, _) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    handlers;
-  List.iter (fun (_, d) -> Domain.join d) handlers;
-  Atomic.set t.handlers [];
+    (fun h -> try Unix.shutdown h.hfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+    t.handlers;
+  List.iter
+    (fun h ->
+      Domain.join h.domain;
+      close_quietly h.hfd)
+    t.handlers;
+  t.handlers <- [];
   (match t.store with Some s -> (try Obs.Store.flush s with _ -> ()) | None -> ());
   match t.unix_path with
   | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | None -> ()
-
-let run ?jobs ?ceiling ?store address =
-  let t = start ?jobs ?ceiling ?store address in
-  wait t

@@ -15,13 +15,19 @@
        tears the connections down;}
     {- a request frame longer than {!max_frame_bytes} draws one
        [Protocol_error] naming the limit, counted in
-       [serve.protocol_errors], and the connection is closed.}} *)
+       [serve.protocol_errors], and the connection is closed;}
+    {- so does a connection beyond {!max_connections}, or one whose
+       handler domain cannot be spawned; the accept loop goes on.}} *)
 
 type t
 
 (** The longest request frame the daemon reads, newline excluded:
     16 MiB. *)
 val max_frame_bytes : int
+
+(** The most connections served at once: 64, half the domains an OCaml 5
+    process may run, since each connection's handler is a domain. *)
+val max_connections : int
 
 (** Bind, spawn the scheduler's worker pool and the accept domain, and
     return immediately. [ceiling] caps every client budget; [store]
@@ -47,11 +53,3 @@ val stop : t -> unit
     then drain the scheduler, join every handler, flush the store and
     remove the Unix socket file. *)
 val wait : t -> unit
-
-(** [start] + [wait]. *)
-val run :
-  ?jobs:int ->
-  ?ceiling:Protocol.budget ->
-  ?store:Obs.Store.t ->
-  Protocol.address ->
-  unit

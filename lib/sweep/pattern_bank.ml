@@ -23,7 +23,6 @@ let create ?(capacity = 256) () =
   }
 
 let size t = t.size
-let capacity t = t.capacity
 let n_words t = (t.size + 63) / 64
 let added t = t.added
 

@@ -26,8 +26,6 @@ val create : ?capacity:int -> unit -> t
 (** Number of patterns currently stored (≤ [capacity]). *)
 val size : t -> int
 
-val capacity : t -> int
-
 (** Number of 64-pattern simulation words needed to carry the stored
     patterns ([ceil (size / 64)]). Unfilled lanes of the last word read as
     all-[false] assignments. *)

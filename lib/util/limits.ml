@@ -60,7 +60,6 @@ let resource_name = function
   | Bdd_nodes -> "bdd node pool"
   | Cancelled -> "cancelled"
 
-let pp_resource ppf r = Format.pp_print_string ppf (resource_name r)
 
 let maybe_reason t = resource_name (Option.value (Atomic.get t.tripped) ~default:Conflicts)
 

@@ -129,7 +129,6 @@ val aig_headroom : t -> int option
 val elapsed : t -> float
 
 val resource_name : resource -> string
-val pp_resource : Format.formatter -> resource -> unit
 
 (** Why a query under this governor answered [Maybe]: the tripped
     resource's name, or the conflict pool's when the pool is dry but has

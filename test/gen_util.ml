@@ -1,4 +1,4 @@
-(* Shared random-structure builders for the test suite. Every module in
+(* Shared builders for the test suite. Every module in
    this directory that is not itself a test entry point is linked into
    all the test executables, so the [expr] helpers that used to be
    copy-pasted per file live here once, and the random sequential
@@ -65,3 +65,18 @@ let machine_knobs =
   }
 
 let random_machine ?(knobs = machine_knobs) seed () = Fuzz.Gen.model ~knobs ~seed ()
+
+(* BMC towards an arbitrary state set: at each depth the deepening loop
+   asks whether [frontier], a literal over the state variables, holds on
+   the unrolled frame *)
+let bmc_to_frontier model ~frontier ~max_depth =
+  let aig = Netlist.Model.aig model in
+  let state_vars = Netlist.Model.state_vars model in
+  Cbq.Unroll.deepen ~limits:Util.Limits.unlimited ~max_depth ~bound:"bound" model
+    (fun checker ->
+      let unroll = Cbq.Unroll.create model in
+      fun k ->
+        let subst v =
+          if List.mem v state_vars then Some (Cbq.Unroll.state_lit unroll ~frame:k v) else None
+        in
+        Cbq.Unroll.cex_at unroll checker ~target:(Aig.compose aig frontier ~subst) ~depth:k)

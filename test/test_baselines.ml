@@ -111,9 +111,9 @@ let test_bmc_finds_cex () =
       match status with
       | Circuits.Registry.Safe -> ()
       | Circuits.Registry.Unsafe d ->
-        let r = Baselines.Bmc.run ~max_depth:(d + 5) model in
-        expect_verdict ("bmc " ^ name) status r.Baselines.Bmc.verdict;
-        (match r.Baselines.Bmc.trace with
+        let r = (Baselines.Bmc.run ~max_depth:(d + 5) model).Baselines.Bmc.search in
+        expect_verdict ("bmc " ^ name) status r.Cbq.Unroll.verdict;
+        (match r.Cbq.Unroll.trace with
         | Some t ->
           check bool (name ^ " trace replays") true (Cbq.Trace.check model t);
           check int (name ^ " trace length") d (Cbq.Trace.length t)
@@ -123,11 +123,11 @@ let test_bmc_finds_cex () =
 let test_bmc_bound_respected () =
   let model, _ = Circuits.Registry.build "counter" (Some 4) in
   (* cex at 15; bound 5 must come back undecided *)
-  let r = Baselines.Bmc.run ~max_depth:5 model in
-  (match r.Baselines.Bmc.verdict with
+  let r = (Baselines.Bmc.run ~max_depth:5 model).Baselines.Bmc.search in
+  (match r.Cbq.Unroll.verdict with
   | Baselines.Verdict.Undecided _ -> ()
   | v -> Alcotest.fail (Format.asprintf "expected bound, got %a" Baselines.Verdict.pp v));
-  check bool "no trace below the bound" true (r.Baselines.Bmc.trace = None)
+  check bool "no trace below the bound" true (r.Cbq.Unroll.trace = None)
 
 let test_bmc_with_frontier () =
   let model, _ = Circuits.Registry.build "counter" (Some 3) in
@@ -142,8 +142,8 @@ let test_bmc_with_frontier () =
       state_vars
   in
   let frontier = Aig.and_list aig lits in
-  let r = Baselines.Bmc.run_with_frontier model ~frontier ~max_depth:10 in
-  (match r.Baselines.Bmc.verdict with
+  let r = Gen_util.bmc_to_frontier model ~frontier ~max_depth:10 in
+  (match r.Cbq.Unroll.verdict with
   | Baselines.Verdict.Falsified d -> check int "value 5 reached at step 5" 5 d
   | v -> Alcotest.fail (Format.asprintf "expected falsified, got %a" Baselines.Verdict.pp v))
 
@@ -154,10 +154,11 @@ let test_induction_oracles () =
     (fun (name, param) ->
       let model, status = Circuits.Registry.build name param in
       let r = Baselines.Induction.run ~max_k:30 model in
-      expect_verdict ("induction " ^ name) status r.Baselines.Induction.verdict;
-      match (status, r.Baselines.Induction.trace) with
-      | Circuits.Registry.Unsafe _, Some t ->
-        check bool (name ^ " trace replays") true (Cbq.Trace.check model t)
+      expect_verdict ("induction " ^ name) status r.Cbq.Unroll.verdict;
+      match (status, r.Cbq.Unroll.trace) with
+      | Circuits.Registry.Unsafe d, Some t ->
+        check bool (name ^ " trace replays") true (Cbq.Trace.check model t);
+        check int (name ^ " trace length") d (Cbq.Trace.length t)
       | Circuits.Registry.Unsafe _, None -> Alcotest.fail (name ^ ": missing trace")
       | Circuits.Registry.Safe, _ -> ())
     families
@@ -166,8 +167,8 @@ let test_induction_k_zero_inductive () =
   (* the even counter's property is inductive at k = 0 *)
   let model, _ = Circuits.Registry.build "counter-even" (Some 4) in
   let r = Baselines.Induction.run model in
-  check verdict_t "proved" Baselines.Verdict.Proved r.Baselines.Induction.verdict;
-  check int "k = 0 suffices" 0 r.Baselines.Induction.k_used
+  check verdict_t "proved" Baselines.Verdict.Proved r.Cbq.Unroll.verdict;
+  check int "k = 0 suffices" 0 r.Cbq.Unroll.depth
 
 let test_induction_needs_depth () =
   (* a deliberately non-0-inductive safe model: two latches, bit0 toggles,
@@ -184,8 +185,8 @@ let test_induction_needs_depth () =
   Netlist.Builder.set_property b (Aig.not_ (Aig.and_ aig q1 (Aig.not_ q0)));
   let model = Netlist.Builder.finish b in
   let r = Baselines.Induction.run ~max_k:10 model in
-  check verdict_t "proved" Baselines.Verdict.Proved r.Baselines.Induction.verdict;
-  check bool "k > 0 needed" true (r.Baselines.Induction.k_used > 0)
+  check verdict_t "proved" Baselines.Verdict.Proved r.Cbq.Unroll.verdict;
+  check bool "k > 0 needed" true (r.Cbq.Unroll.depth > 0)
 
 (* ---------- cofactor pre-image and hybrid ---------- *)
 

@@ -251,12 +251,11 @@ let test_unroll_trace_from_model () =
   let aig = Netlist.Model.aig m in
   let u = Cbq.Unroll.create m in
   let checker = Cnf.Checker.create aig in
-  (match Cnf.Checker.satisfiable checker [ Cbq.Unroll.bad_at u 7 ] with
-  | Cnf.Checker.Yes ->
-    let t = Cbq.Unroll.trace_from_model u ~depth:7 ~value:(Cnf.Checker.model_var checker) in
+  (match Cbq.Unroll.cex_at u checker ~target:(Cbq.Unroll.bad_at u 7) ~depth:7 with
+  | Cbq.Unroll.Cex t ->
     check int "trace length" 7 (Cbq.Trace.length t);
     check bool "trace is genuine" true (Cbq.Trace.check m t)
-  | Cnf.Checker.No | Cnf.Checker.Maybe -> Alcotest.fail "expected sat")
+  | Cbq.Unroll.Proof | Cbq.Unroll.Deeper | Cbq.Unroll.Maybe -> Alcotest.fail "expected sat")
 
 (* ---------- trace ---------- *)
 

@@ -478,30 +478,6 @@ let test_trace_minimize_drops_irrelevant () =
     done
   | _ -> Alcotest.fail "expected counterexample"
 
-(* ---------- universal quantification ---------- *)
-
-let test_forall () =
-  let aig = Aig.create () in
-  let checker = Cnf.Checker.create aig in
-  let prng = Util.Prng.create 127 in
-  let x = Aig.var aig 0 and y = Aig.var aig 1 in
-  (* ∀x. x | y = y;  ∀x. x & y = 0 *)
-  (match Cbq.Quantify.forall aig checker ~prng (Aig.or_ aig x y) 0 with
-  | Ok q, _ -> check int "forall or" y q
-  | Error _, _ -> Alcotest.fail "abort");
-  (match Cbq.Quantify.forall aig checker ~prng (Aig.and_ aig x y) 0 with
-  | Ok q, _ -> check int "forall and" Aig.false_ q
-  | Error _, _ -> Alcotest.fail "abort");
-  (* duality against exists on a random function *)
-  let f = Aig.ite aig x y (Aig.not_ y) in
-  match
-    ( Cbq.Quantify.forall aig checker ~prng f 0,
-      Cbq.Quantify.one aig checker ~prng (Aig.not_ f) 0 )
-  with
-  | (Ok fa, _), (Ok ex_not, _) ->
-    check bool "duality" true (Cnf.Checker.equal checker fa (Aig.not_ ex_not) = Cnf.Checker.Yes)
-  | _ -> Alcotest.fail "abort"
-
 (* ---------- BMC with CBQ preprocessing (paper §4) ---------- *)
 
 let test_bmc_preprocessed_oracles () =
@@ -512,12 +488,12 @@ let test_bmc_preprocessed_oracles () =
       | Circuits.Registry.Safe -> ()
       | Circuits.Registry.Unsafe d ->
         let r = Baselines.Bmc.run ~max_depth:(d + 3) ~preprocess:true model in
-        (match r.Baselines.Bmc.verdict with
+        (match r.Baselines.Bmc.search.Cbq.Unroll.verdict with
         | Baselines.Verdict.Falsified d' -> check int (name ^ " depth") d d'
         | v -> Alcotest.fail (Format.asprintf "%s: %a" name Baselines.Verdict.pp v));
         check bool (name ^ " eliminated some inputs") true
           (r.Baselines.Bmc.inputs_eliminated > 0);
-        (match r.Baselines.Bmc.trace with
+        (match r.Baselines.Bmc.search.Cbq.Unroll.trace with
         | Some t -> check bool (name ^ " trace valid") true (Cbq.Trace.check model t)
         | None -> Alcotest.fail (name ^ ": missing trace")))
     [ ("counter", Some 3); ("fifo-buggy", Some 2); ("accumulator", Some 3);
@@ -526,7 +502,7 @@ let test_bmc_preprocessed_oracles () =
 let test_bmc_preprocessed_no_false_alarm () =
   let model, _ = Circuits.Registry.build "lfsr" (Some 4) in
   let r = Baselines.Bmc.run ~max_depth:12 ~preprocess:true model in
-  match r.Baselines.Bmc.verdict with
+  match r.Baselines.Bmc.search.Cbq.Unroll.verdict with
   | Baselines.Verdict.Undecided _ -> ()
   | v -> Alcotest.fail (Format.asprintf "safe model refuted: %a" Baselines.Verdict.pp v)
 
@@ -739,7 +715,6 @@ let () =
           Alcotest.test_case "drops irrelevant inputs" `Quick
             test_trace_minimize_drops_irrelevant;
         ] );
-      ("forall", [ Alcotest.test_case "universal quantification" `Quick test_forall ]);
       ( "bmc preprocessing",
         [
           Alcotest.test_case "oracles preserved" `Slow test_bmc_preprocessed_oracles;

@@ -18,10 +18,12 @@ let run_all ?(bmc_depth = 30) make_model =
   let cbq = of_verdict (Cbq.Reachability.run (make_model ())).Cbq.Reachability.verdict in
   let bdd = of_verdict (Baselines.Bdd_mc.backward (make_model ())).reach.Cbq.Reachability.verdict in
   let bmc =
-    of_verdict (Baselines.Bmc.run ~max_depth:bmc_depth (make_model ())).Baselines.Bmc.verdict
+    of_verdict
+      (Baselines.Bmc.run ~max_depth:bmc_depth (make_model ())).Baselines.Bmc.search
+        .Cbq.Unroll.verdict
   in
   let ind =
-    of_verdict (Baselines.Induction.run ~max_k:25 (make_model ())).Baselines.Induction.verdict
+    of_verdict (Baselines.Induction.run ~max_k:25 (make_model ())).Cbq.Unroll.verdict
   in
   let cof =
     of_verdict
@@ -123,7 +125,7 @@ let test_bmc_trace_on_cbq_model () =
   (* a trace found by BMC replays on the model instance used by CBQ *)
   let model, _ = Circuits.Registry.build "accumulator" (Some 3) in
   let bmc = Baselines.Bmc.run ~max_depth:10 model in
-  match bmc.Baselines.Bmc.trace with
+  match bmc.Baselines.Bmc.search.Cbq.Unroll.trace with
   | Some t ->
     check bool "bmc trace valid" true (Cbq.Trace.check model t);
     let r = Cbq.Reachability.run model in
@@ -146,12 +148,12 @@ let test_partial_quantification_preprocessing () =
   let bad = Aig.not_ model.Netlist.Model.property in
   let pre = Cbq.Preimage.compute model checker ~prng ~frontier:bad ~extra_vars:[] in
   check bool "some inputs eliminated" true (List.length pre.Cbq.Preimage.eliminated > 0);
-  let r = Baselines.Bmc.run_with_frontier model ~frontier:pre.Cbq.Preimage.lit ~max_depth:10 in
+  let r = Gen_util.bmc_to_frontier model ~frontier:pre.Cbq.Preimage.lit ~max_depth:10 in
   (* the pre-image of the (unreachable) bad set may itself be reachable
      only if the bad set is: the arbiter is safe, so any hit here would be
      at states outside the reachable set — BMC from the real initial
      states must find nothing *)
-  match r.Baselines.Bmc.verdict with
+  match r.Cbq.Unroll.verdict with
   | Baselines.Verdict.Undecided _ -> ()
   | Baselines.Verdict.Falsified _ ->
     Alcotest.fail "reachable pre-image of an unreachable bad set"

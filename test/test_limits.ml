@@ -355,9 +355,8 @@ let test_baselines_limited_verdicts_sound () =
         baseline_agrees name status (f model)
       in
       let limits () = Util.Limits.create ~max_conflicts:30 () in
-      run (fun m -> (Baselines.Bmc.run ~limits:(limits ()) m).Baselines.Bmc.verdict);
-      run (fun m ->
-          (Baselines.Induction.run ~limits:(limits ()) m).Baselines.Induction.verdict);
+      run (fun m -> (Baselines.Bmc.run ~limits:(limits ()) m).search.Cbq.Unroll.verdict);
+      run (fun m -> (Baselines.Induction.run ~limits:(limits ()) m).Cbq.Unroll.verdict);
       run (fun m ->
           (Baselines.Cofactor_preimage.run ~limits:(limits ()) m).reach.Cbq.Reachability.verdict);
       run (fun m -> (Baselines.Hybrid.run ~limits:(limits ()) m).reach.Cbq.Reachability.verdict);
@@ -368,6 +367,50 @@ let test_baselines_limited_verdicts_sound () =
           (Baselines.Bdd_mc.forward ~limits:(Util.Limits.create ~timeout:0.0 ()) m).reach
             .Cbq.Reachability.verdict))
     families
+
+(* the deepening loop's stopping rules, for both engines on it. counter 4
+   fails at depth 15, so a stopped run that read PROVED or FALSIFIED
+   would be wrong or unearned *)
+let test_deepening_stops () =
+  let engines =
+    [
+      ( "bmc",
+        fun ~limits ~max_depth m -> (Baselines.Bmc.run ~limits ~max_depth m).Baselines.Bmc.search
+      );
+      ("induction", fun ~limits ~max_depth m -> Baselines.Induction.run ~limits ~max_k:max_depth m);
+    ]
+  in
+  let cancelled () =
+    let l = Util.Limits.create () in
+    Util.Limits.cancel l;
+    l
+  in
+  let pool_drained why =
+    match Scanf.sscanf why "conflict pool (depth %d)%!" Fun.id with
+    | depth -> depth > 0
+    | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> false
+  in
+  let cases =
+    [
+      ("cancelled first", cancelled, 30, fun _ why -> why = "cancelled (depth 0)");
+      ("pool drained", (fun () -> Util.Limits.create ~max_conflicts:20 ()), 30, fun _ -> pool_drained);
+      ( "bound",
+        (fun () -> Util.Limits.unlimited),
+        5,
+        fun engine why -> why = if engine = "bmc" then "bound 5" else "no convergence by k=5" );
+    ]
+  in
+  List.iter
+    (fun (engine, run) ->
+      List.iter
+        (fun (case, limits, max_depth, expected) ->
+          let model, _ = Circuits.Registry.build "counter" (Some 4) in
+          match (run ~limits:(limits ()) ~max_depth model).Cbq.Unroll.verdict with
+          | Cbq.Verdict.Undecided why ->
+            check bool (Printf.sprintf "%s, %s: %S" engine case why) true (expected engine why)
+          | v -> Alcotest.failf "%s, %s: %a" engine case Cbq.Verdict.pp v)
+        cases)
+    engines
 
 let test_bdd_engine_names_the_pool () =
   let model, _ = Circuits.Registry.build "counter" (Some 4) in
@@ -445,6 +488,7 @@ let () =
           Alcotest.test_case "aig ceiling stops traversal" `Quick test_aig_ceiling_stops_traversal;
           Alcotest.test_case "baselines: limited verdicts sound" `Quick
             test_baselines_limited_verdicts_sound;
+          Alcotest.test_case "deepening loop stops undecided" `Quick test_deepening_stops;
           Alcotest.test_case "bdd engine names its pool" `Quick test_bdd_engine_names_the_pool;
           Alcotest.test_case "certificate check under a cancel" `Quick test_certify_cancelled;
         ] );

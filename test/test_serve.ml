@@ -374,48 +374,52 @@ let submit_rejections () =
    backward frames *)
 let slow_spec ~tag = spec ~tag "counter" 12
 
+(* submit [s] and return the id the daemon accepted it under, passing
+   over the events of jobs already running *)
+let submit_accepted c (s : Serve.Client.job_spec) =
+  Serve.Client.send c
+    (Serve.Protocol.submit ~tag:s.tag ~model_name:s.model_name ~aig:s.aig ~engine:s.engine
+       ~budget:s.budget);
+  let rec accepted () =
+    match Serve.Client.recv c with
+    | Some (Serve.Protocol.Accepted { tag; id }) when tag = s.tag -> id
+    | Some (Serve.Protocol.Progress _) -> accepted ()
+    | Some e -> Alcotest.failf "expected accept, got %s" (Serve.Protocol.event_to_line e)
+    | None -> Alcotest.fail "expected accept, got EOF"
+  in
+  accepted ()
+
+(* a running job and one queued behind it on the only worker, both
+   cancelled: the queued one ends without ever starting *)
 let explicit_cancel () =
   with_server ~jobs:1 @@ fun _server address ->
   let c = connect address in
   Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-  Serve.Client.send c
-    (let s = slow_spec ~tag:"slow" in
-     Serve.Protocol.Submit
-       {
-         tag = s.Serve.Client.tag;
-         model_name = s.Serve.Client.model_name;
-         aig = s.Serve.Client.aig;
-         engine = s.Serve.Client.engine;
-         budget = s.Serve.Client.budget;
-         quantify_backend = None;
-       });
-  let id =
-    match Serve.Client.recv c with
-    | Some (Serve.Protocol.Accepted { id; _ }) -> id
-    | other ->
-      Alcotest.fail
-        (Printf.sprintf "expected accept, got %s"
-           (match other with
-           | Some e -> Serve.Protocol.event_to_line e
-           | None -> "EOF"))
-  in
+  let id = submit_accepted c (slow_spec ~tag:"slow") in
   (* the accept precedes every worker event for the job; wait for the
      run to actually start, then cancel it *)
   (match Serve.Client.recv c with
   | Some (Serve.Protocol.Started { id = i }) -> check int "started id" id i
   | _ -> Alcotest.fail "expected started");
+  let queued = submit_accepted c (slow_spec ~tag:"queued") in
+  Serve.Client.send c (Serve.Protocol.Cancel { id = queued });
   Serve.Client.send c (Serve.Protocol.Cancel { id });
   let watch = Util.Stopwatch.start () in
-  let rec await () =
-    match Serve.Client.recv c with
-    | Some (Serve.Protocol.Done { id = i; verdict = Baselines.Verdict.Undecided _; _ })
-      when i = id ->
-      ()
-    | Some (Serve.Protocol.Done _) -> Alcotest.fail "a cancelled job cannot decide"
-    | Some _ -> await ()
-    | None -> Alcotest.fail "connection closed before the cancel verdict"
+  let rec await pending =
+    if pending <> [] then
+      match Serve.Client.recv c with
+      | Some (Serve.Protocol.Started { id = i }) when i = queued ->
+        Alcotest.fail "a job cancelled in the queue must not start"
+      | Some (Serve.Protocol.Done { id = i; verdict; _ }) when List.mem i pending ->
+        (match verdict with
+        | Baselines.Verdict.Undecided why ->
+          if i = queued then check string "queued job's reason" "cancelled" why
+        | _ -> Alcotest.fail "a cancelled job cannot decide");
+        await (List.filter (( <> ) i) pending)
+      | Some _ -> await pending
+      | None -> Alcotest.fail "connection closed before the cancel verdicts"
   in
-  await ();
+  await [ id; queued ];
   check bool "cancellation is prompt" true (Util.Stopwatch.elapsed watch < 2.0)
 
 let disconnect_cancels () =
@@ -470,6 +474,81 @@ let disconnect_cancels () =
       | _ -> Alcotest.fail "stored report must mark the job cancelled"))
   | entries ->
     Alcotest.fail (Printf.sprintf "expected exactly one stored run, found %d" (List.length entries))
+
+(* ---------- a connection flood ---------- *)
+
+(* the first line the server sends on [sock], or [None] when it sends
+   none within [timeout] seconds *)
+let line_within sock ~timeout =
+  let line = Buffer.create 64 and byte = Bytes.create 1 in
+  let watch = Util.Stopwatch.start () in
+  let rec go () =
+    let left = timeout -. Util.Stopwatch.elapsed watch in
+    if left <= 0.0 then None
+    else
+      match Unix.select [ sock ] [] [] left with
+      | [], _, _ -> None
+      | _ -> (
+        match Unix.read sock byte 0 1 with
+        | 0 -> None
+        | _ when Bytes.get byte 0 = '\n' -> Some (Buffer.contents line)
+        | _ ->
+          Buffer.add_bytes line byte;
+          go ())
+  in
+  try go () with Unix.Unix_error _ -> None
+
+(* the server's answer to a ping, within 5 s *)
+let ping_reply sock =
+  let ping = "{\"type\":\"ping\"}\n" in
+  (* a refused connection may already be closed: its answer is queued *)
+  (try ignore (Unix.write_substring sock ping 0 (String.length ping))
+   with Unix.Unix_error _ -> ());
+  match line_within sock ~timeout:5.0 with
+  | None -> None
+  | Some line -> Some (Serve.Protocol.event_of_line line)
+
+(* more connections than the daemon serves at once: the one past the cap
+   is refused with a protocol error, and the daemon goes on serving *)
+let connection_flood () =
+  with_server ~jobs:1 @@ fun _server address ->
+  let opened = ref [] in
+  let close_all () =
+    List.iter Unix.close !opened;
+    opened := []
+  in
+  Fun.protect ~finally:close_all @@ fun () ->
+  let rec flood n =
+    if n > 130 then Alcotest.fail "130 connections and none refused";
+    let sock = raw_connect address in
+    opened := sock :: !opened;
+    match ping_reply sock with
+    | Some (Ok Serve.Protocol.Pong) -> flood (n + 1)
+    | Some (Ok (Serve.Protocol.Protocol_error { message })) -> (n, message)
+    | Some (Ok e) -> Alcotest.failf "connection %d: got %s" n (Serve.Protocol.event_to_line e)
+    | Some (Error msg) -> Alcotest.failf "connection %d: %s" n msg
+    | None -> Alcotest.failf "connection %d: no answer within 5s" n
+  in
+  let n, message = flood 1 in
+  let cap = Serve.Server.max_connections in
+  check int "the first connection past the cap is refused" (cap + 1) n;
+  check bool (Printf.sprintf "%S names the cap" message) true
+    (contains message (string_of_int cap));
+  close_all ();
+  (* the closed connections' handlers wind down on their own: a fresh
+     connection is served once they have *)
+  let rec fresh attempt =
+    let sock = raw_connect address in
+    let reply = ping_reply sock in
+    Unix.close sock;
+    match reply with
+    | Some (Ok Serve.Protocol.Pong) -> ()
+    | Some (Ok (Serve.Protocol.Protocol_error _)) when attempt < 50 ->
+      Unix.sleepf 0.1;
+      fresh (attempt + 1)
+    | _ -> Alcotest.fail "no fresh connection served after the flood"
+  in
+  fresh 1
 
 (* ---------- the budget ceiling ---------- *)
 
@@ -549,6 +628,8 @@ let () =
           Alcotest.test_case "bad submits are refused" `Quick submit_rejections;
           Alcotest.test_case "explicit cancel" `Quick explicit_cancel;
           Alcotest.test_case "client disconnect cancels its job" `Quick disconnect_cancels;
+          Alcotest.test_case "a connection flood is refused, then served" `Quick
+            connection_flood;
           Alcotest.test_case "server ceiling caps the client budget" `Quick ceiling_caps_budget;
           Alcotest.test_case "batch lands in the shared store" `Quick store_after_batch;
         ] );
