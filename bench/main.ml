@@ -297,7 +297,7 @@ let t3 () =
           (* a single simulation word keeps spurious candidates alive, so
              the SAT queue actually has work to order *)
           let config =
-            { Sweep.Sweeper.default with sat = Some direction; bdd_node_limit = 0; sim_rounds = 1 }
+            { Sweep.Sweeper.sim_rounds = 1; bdd_node_limit = 0; sat = Some direction }
           in
           let (_, r), dt =
             Util.Stopwatch.time (fun () ->
@@ -500,7 +500,7 @@ let t6 () =
   let variants =
     [
       ("plain-or", None);
-      ("const-dc", Some { Synth.Dontcare.default with use_merges = false; odc_max_tries = 0 });
+      ("const-dc", Some { Synth.Dontcare.use_merges = false; odc_max_tries = 0 });
       ("merge-dc", Some { Synth.Dontcare.default with odc_max_tries = 0 });
       ("full+odc", Some Synth.Dontcare.default);
     ]

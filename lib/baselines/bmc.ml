@@ -20,9 +20,6 @@ let run ?(max_depth = 100) ?(preprocess = false) ?(limits = Util.Limits.unlimite
         let vars = Aig.support aig target in
         let q = Cbq.Quantify.all ~config:preprocess_config aig checker ~prng target ~vars in
         eliminated := !eliminated + List.length q.Cbq.Quantify.eliminated;
-        (* preprocessing leaves the sweeper's per-query conflict limit on
-           the checker; the depth query itself runs unbounded *)
-        Cnf.Checker.set_conflict_limit checker None;
         match Cnf.Checker.satisfiable checker [ q.Cbq.Quantify.lit ] with
         (* re-solve the full cone so the model covers every frame input the
            quantification removed; the learned clauses make this cheap *)

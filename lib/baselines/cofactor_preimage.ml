@@ -8,7 +8,6 @@ let enumerate checker ~limit ~used (q : Cbq.Quantify.result) =
   if q.kept = [] then Ok q
   else begin
     let aig = Cnf.Checker.aig checker in
-    Cnf.Checker.set_conflict_limit checker None;
     let rec go acc =
       if !used >= limit then Error "enumeration budget"
       else

@@ -4,55 +4,53 @@
     All queries are expressed with solver {e assumptions} over the
     permanently-encoded Tseitin clauses, so nothing ever needs retracting
     and the learned clauses from one check speed up the next — the paper's
-    factorized "SAT-merge" discipline. A conflict budget turns every query
-    into a three-valued answer so callers can degrade gracefully (partial
-    quantification aborts, sweeping skips hard pairs). *)
+    factorized "SAT-merge" discipline.
+
+    {b The query contract.} A query carries its own budget: one that
+    passes [~conflict_limit] may answer [Maybe] when that many conflicts
+    do not settle it (sweeping skips the hard pair, the don't-care pass
+    drops the candidate). A query without one is {e exact}: only the
+    run-wide governor fixed at {!create} can leave it [Maybe], and a
+    caller must then degrade to an undecided verdict, never read the
+    answer as [No]. Nothing a query does changes how the next one is
+    budgeted. *)
 
 type t
 
 (** Three-valued query answer. *)
 type answer = Yes | No | Maybe
 
-val create : Aig.t -> t
+(** [create ?limits aig] binds every query of the checker to the
+    run-wide resource governor [limits] ({!Util.Limits}, default
+    [Util.Limits.unlimited]): conflicts drain its shared pool, its
+    deadline is polled during search, and once it has tripped queries
+    answer [Maybe] without touching the solver. *)
+val create : ?limits:Util.Limits.t -> Aig.t -> t
+
 val aig : t -> Aig.t
 
-(** [set_conflict_limit t n] bounds every subsequent query ([None] removes
-    the bound). *)
-val set_conflict_limit : t -> int option -> unit
-
-(** [set_limits t l] binds every subsequent query to a run-wide resource
-    governor ({!Util.Limits}): conflicts drain its shared pool, its
-    deadline is polled during search, and once it has tripped queries
-    answer [Maybe] without touching the solver. Defaults to
-    [Util.Limits.unlimited]. Orthogonal to {!set_conflict_limit}, which
-    bounds each query individually. *)
-val set_limits : t -> Util.Limits.t -> unit
-
-(** The governor currently bound by {!set_limits}. Layers above the
-    checker (sweeping, quantification) read it here so one binding at
-    engine entry governs the whole stack. *)
+(** The governor bound at {!create}. Layers above the checker
+    (sweeping, quantification) read it here so one binding at engine
+    entry governs the whole stack. *)
 val limits : t -> Util.Limits.t
 
-(** [satisfiable t lits] — is the conjunction of [lits] satisfiable?
-    After [Yes], {!model_var} reads the witness. *)
-val satisfiable : t -> Aig.lit list -> answer
+(** [satisfiable ?conflict_limit t lits] — is the conjunction of [lits]
+    satisfiable? [conflict_limit] bounds this one solver call. After
+    [Yes], {!model_var} reads the witness. *)
+val satisfiable : ?conflict_limit:int -> t -> Aig.lit list -> answer
 
-(** [valid t l] — is [l] a tautology? *)
-val valid : t -> Aig.lit -> answer
+(** [equal ?conflict_limit t a b] — do [a] and [b] denote the same
+    function? Each of its (at most two) solver calls gets
+    [conflict_limit]. *)
+val equal : ?conflict_limit:int -> t -> Aig.lit -> Aig.lit -> answer
 
-(** [equal t a b] — do [a] and [b] denote the same function? *)
-val equal : t -> Aig.lit -> Aig.lit -> answer
-
-(** [equal_under t ~care a b] — are [a] and [b] equal on the onset of
-    [care]? (Outside it they may differ: [care]'s offset is the don't-care
-    set.) *)
-val equal_under : t -> care:Aig.lit -> Aig.lit -> Aig.lit -> answer
-
-(** [implies t a b] — does [a] entail [b]? *)
-val implies : t -> Aig.lit -> Aig.lit -> answer
+(** [equal_under ?conflict_limit t ~care a b] — are [a] and [b] equal on
+    the onset of [care]? (Outside it they may differ: [care]'s offset is
+    the don't-care set.) *)
+val equal_under : ?conflict_limit:int -> t -> care:Aig.lit -> Aig.lit -> Aig.lit -> answer
 
 (** Witness access after a [Yes] from {!satisfiable} (or a [No] from the
-    universal queries, whose refutation is a satisfying counterexample):
+    equivalence queries, whose refutation is a satisfying counterexample):
     [None] when the variable has no encoded leaf or was left unassigned by
     the solver — the witness does not constrain it. *)
 val model_var_opt : t -> Aig.var -> bool option
@@ -71,8 +69,7 @@ val model : t -> Aig.var list -> (Aig.var * bool) list
     variables the solver actually assigned. *)
 val assigned_model : t -> Aig.var list -> (Aig.var * bool) list
 
-(** Number of queries answered so far, and of those cut off by the budget. *)
+(** Number of queries answered so far. *)
 val queries : t -> int
 
-val budget_cutoffs : t -> int
 val solver_stats : t -> Sat.Solver.stats

@@ -8,9 +8,7 @@ let pp_failure ppf = function
 
 let check ?(limits = Util.Limits.unlimited) m ~invariant =
   let aig = Netlist.Model.aig m in
-  let checker = Cnf.Checker.create aig in
-  Cnf.Checker.set_limits checker limits;
-  Cnf.Checker.set_conflict_limit checker None;
+  let checker = Cnf.Checker.create ~limits aig in
   (* each condition holds when its query is unsatisfiable *)
   let holds lits failure k =
     match Cnf.Checker.satisfiable checker lits with

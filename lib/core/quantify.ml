@@ -36,7 +36,7 @@ let default =
 
 let naive_config =
   {
-    sweep = { Sweep.Sweeper.default with bdd_node_limit = 0; sat = None; sim_rounds = 1 };
+    sweep = { Sweep.Sweeper.sim_rounds = 1; bdd_node_limit = 0; sat = None };
     use_dontcare = false;
     dontcare = Synth.Dontcare.default;
     use_rewrite = false;

@@ -39,31 +39,13 @@ let record_aborted_vars vars =
       (String.concat "," (List.map (Printf.sprintf "x%d") vars));
   vars
 
-type config = {
-  quant : Quantify.config;
-  max_iterations : int;
-  make_trace : bool;
-  seed : int;
-}
+type config = { quant : Quantify.config; max_iterations : int; make_trace : bool }
 
-let default =
-  {
-    quant = Quantify.default;
-    max_iterations = 200;
-    make_trace = true;
-    seed = 1;
-  }
+let default = { quant = Quantify.default; max_iterations = 200; make_trace = true }
 
 let pp_result ppf r =
   Format.fprintf ppf "%a  iterations=%d peak-frontier=%d sat-queries=%d %.3fs" Verdict.pp
     r.verdict (List.length r.iterations) r.peak_frontier r.sat_queries r.total_seconds
-
-(* decide exactly: containment and intersection tests must not be budgeted
-   per query. A run-wide governor can still leave them [Maybe] — the caller
-   must then degrade to [Undecided], never treat the answer as No. *)
-let exact_answer checker lits =
-  Cnf.Checker.set_conflict_limit checker None;
-  Cnf.Checker.satisfiable checker lits
 
 (* The counterexample of a frontier that met the target at frame [depth]:
    the onion rings make [depth] the exact depth, so one query on the
@@ -99,8 +81,7 @@ let frame_loop ~config ~limits model (build : Cnf.Checker.t -> 'set sets) =
   Obs.Progress.begin_run ();
   let limits = Obs.Limits.arm limits in
   let aig = Netlist.Model.aig model in
-  let checker = Cnf.Checker.create aig in
-  Cnf.Checker.set_limits checker limits;
+  let checker = Cnf.Checker.create ~limits aig in
   let iterations = ref [] in
   let peak = ref 0 in
   let push_iteration it =
@@ -250,9 +231,9 @@ let rename_residuals aig ~model_vars lit kept =
    residual variables — kept by the bad-state quantification or by any
    step — are renamed, quantified again by every later step, and barred
    from the certificate. [aborted] collects every variable kept. *)
-let aig_sets ~config ~aborted model make_direction checker =
+let aig_sets ~(config : config) ~aborted model make_direction checker =
   let aig = Netlist.Model.aig model in
-  let prng = Util.Prng.create config.seed in
+  let prng = Util.Prng.create 1 in
   (* one pattern bank for the whole traversal: counterexamples learned in
      any frame keep refuting merge candidates in every later frame *)
   let bank = Sweep.Pattern_bank.create () in
@@ -292,7 +273,9 @@ let aig_sets ~config ~aborted model make_direction checker =
     bad;
     backward = dir.backward;
     step;
-    meets = (fun a b -> exact_answer checker [ a; b ]);
+    (* exact: only the governor can answer Maybe, and the loop then
+       ends Undecided *)
+    meets = (fun a b -> Cnf.Checker.satisfiable checker [ a; b ]);
     and_ = Aig.and_ aig;
     or_ = Aig.or_ aig;
     not_ = Aig.not_;

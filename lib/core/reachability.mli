@@ -50,12 +50,7 @@ type result = {
      mirrored into the run report as the [quantify.aborted_vars] meta. *)
 }
 
-type config = {
-  quant : Quantify.config;
-  max_iterations : int;
-  make_trace : bool;
-  seed : int;
-}
+type config = { quant : Quantify.config; max_iterations : int; make_trace : bool }
 
 val default : config
 

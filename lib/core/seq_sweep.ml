@@ -110,7 +110,6 @@ let reduce ?(sim_steps = 16) ?(seed = 57) model =
   let aig = Netlist.Model.aig model in
   let prng = Util.Prng.create seed in
   let checker = Cnf.Checker.create aig in
-  Cnf.Checker.set_conflict_limit checker None;
   let next_of =
     let table = Hashtbl.create 16 in
     List.iter

@@ -85,7 +85,6 @@ let trace_from_model t ~depth ~value =
 type round = Cex of Trace.t | Proof | Deeper | Maybe
 
 let cex_at t checker ~target ~depth =
-  Cnf.Checker.set_conflict_limit checker None;
   match Cnf.Checker.satisfiable checker [ target ] with
   | Cnf.Checker.Yes -> Cex (trace_from_model t ~depth ~value:(Cnf.Checker.model_var checker))
   | Cnf.Checker.No -> Deeper
@@ -106,8 +105,7 @@ let pp_result ppf r =
 let deepen ~limits ~max_depth ~bound model query =
   let watch = Util.Stopwatch.start () in
   let limits = Obs.Limits.arm limits in
-  let checker = Cnf.Checker.create (Netlist.Model.aig model) in
-  Cnf.Checker.set_limits checker limits;
+  let checker = Cnf.Checker.create ~limits (Netlist.Model.aig model) in
   let at = query checker in
   let finish ?trace verdict depth =
     {
@@ -128,7 +126,7 @@ let deepen ~limits ~max_depth ~bound model query =
       | Cex trace -> finish ~trace (Verdict.Falsified k) k
       | Proof -> finish Verdict.Proved k
       | Deeper -> go (k + 1)
-      (* no query has a conflict limit: only the governor answers Maybe *)
+      (* the rounds' queries are exact: only the governor answers Maybe *)
       | Maybe -> undecided (Util.Limits.maybe_reason limits) k)
   in
   go 0

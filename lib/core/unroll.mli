@@ -44,11 +44,10 @@ type round =
   | Deeper  (** nothing decided at this depth: try the next *)
   | Maybe  (** a query the governor left undecided *)
 
-(** [cex_at t checker ~target ~depth] — one exact query, with no
-    per-query conflict limit: can [target], a literal over [t]'s frames
-    up to [depth], be true? [Cex] carries the trace of [depth]
-    transitions rebuilt from the model, [Deeper] means no; only a
-    governor bound to [checker] answers [Maybe]. *)
+(** [cex_at t checker ~target ~depth] — one exact query: can [target],
+    a literal over [t]'s frames up to [depth], be true? [Cex] carries
+    the trace of [depth] transitions rebuilt from the model, [Deeper]
+    means no; only the governor bound to [checker] answers [Maybe]. *)
 val cex_at : t -> Cnf.Checker.t -> target:Aig.lit -> depth:int -> round
 
 type result = {

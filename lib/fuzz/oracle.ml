@@ -142,8 +142,7 @@ let check_algebraic ?(config = default_config) m =
   (* a clone keeps the oracle's scratch nodes out of the caller's manager *)
   let m = clone m in
   let aig = Netlist.Model.aig m in
-  let checker = Cnf.Checker.create aig in
-  Cnf.Checker.set_limits checker (Util.Limits.of_budget config.budget);
+  let checker = Cnf.Checker.create ~limits:(Util.Limits.of_budget config.budget) aig in
   let prng = Util.Prng.create 17 in
   let bad = Aig.not_ m.Netlist.Model.property in
   let next_lits = List.map (fun l -> l.Netlist.Model.next) m.Netlist.Model.latches in

@@ -274,18 +274,18 @@ module Progress : sig
       armed. *)
   val begin_run : unit -> unit
 
-  (** Notification from the traversal engines; a no-op unless armed.
-      Independently of the stderr reporter, an installed {!set_listener}
-      hook receives every notification. *)
+  (** Notification from the traversal engines: the stderr line when
+      armed, and the calling domain's {!with_listener} hook when one is
+      bound. *)
   val frame : index:int -> nodes:int -> unit
 
-  (** Install (or clear) a cross-domain frame listener: called on every
-      {!frame} notification with the emitting domain's id, whether or
-      not the stderr reporter is armed. The serve scheduler uses this to
-      stream per-frame progress events to the client that owns the job
-      running on that domain. The hook itself must be domain-safe — it
-      is invoked from whichever domain runs the traversal. *)
-  val set_listener : (domain:int -> index:int -> nodes:int -> unit) option -> unit
+  (** [with_listener f run] calls [f] on every {!frame} notification
+      that [run ()] makes on the calling domain, whether or not the
+      stderr reporter is armed, and restores the domain's previous
+      listener when [run] returns or raises. Frames emitted on other
+      domains do not reach [f]. The serve scheduler wraps each job's
+      engine run in it to stream the job's frames to its client. *)
+  val with_listener : (index:int -> nodes:int -> unit) -> (unit -> 'a) -> 'a
 
   (** Terminate the in-place line and disarm. *)
   val finish : unit -> unit

@@ -4,9 +4,9 @@
    enabled) and the elapsed wall time. On a TTY the line is rewritten in
    place; on a pipe each frame gets its own line.
 
-   The traversal engines notify through [frame]; like every other
-   recording entry point in [Obs], its disabled path (no [start] call)
-   is one load and a branch. *)
+   The traversal engines notify through [frame]; its disabled path (no
+   [start] call, no listener) is a domain-local load and two branches,
+   once per frame. *)
 
 let active = ref false
 let out = ref stderr
@@ -45,18 +45,19 @@ let emit line =
   end
   else Printf.fprintf !out "%s\n%!" line
 
-(* Cross-domain frame listener: the serve scheduler routes frame
-   notifications to the client whose job runs on the emitting domain.
-   An atomic so installation from the scheduler races benignly with
-   notifications from worker domains. *)
-let listener : (domain:int -> index:int -> nodes:int -> unit) option Atomic.t = Atomic.make None
+(* The frame listener of the calling domain: a serve worker binds its
+   job's for the length of the engine run, so every frame the run emits
+   on that domain reaches that job's client and no other. *)
+let listener : (index:int -> nodes:int -> unit) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-let set_listener f = Atomic.set listener f
+let with_listener f run =
+  let outer = Domain.DLS.get listener in
+  Domain.DLS.set listener (Some f);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set listener outer) run
 
 let frame ~index ~nodes =
-  (match Atomic.get listener with
-  | Some f -> f ~domain:(Domain.self () :> int) ~index ~nodes
-  | None -> ());
+  (match Domain.DLS.get listener with Some f -> f ~index ~nodes | None -> ());
   if !active then emit (render ~index ~nodes)
 
 (* Traversal engines notify here at run entry: without it, back-to-back

@@ -1,9 +1,9 @@
 (** Fork/join sharding over OCaml 5 domains.
 
-    The primitive under the multicore consumers (parallel SAT-merge
-    batches, sharded fuzz campaigns): run one shard per domain, each with
-    a static index, and join them all. The calling domain runs shard 0,
-    so [jobs = 1] spawns no domain and [jobs = n] spawns [n - 1].
+    The primitive under sharded fuzz campaigns ([cbq_mc fuzz --jobs]):
+    run one shard per domain, each with a static index, and join them
+    all. The calling domain runs shard 0, so [jobs = 1] spawns no domain
+    and [jobs = n] spawns [n - 1].
 
     Exceptions raised by a shard are re-raised in the calling domain
     after every shard has been joined; no domain is ever left

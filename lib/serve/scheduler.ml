@@ -21,9 +21,10 @@
    domains of THIS process are funnelled through [store_mutex], since
    fcntl locks do not exclude threads of one process.
 
-   Per-frame progress rides on [Obs.Progress.set_listener]: each worker
-   domain runs at most one job at a time, so the emitting domain's id
-   keys the running-job table. *)
+   Per-frame progress rides on [Obs.Progress.with_listener]: the worker
+   binds the job's listener on its own domain for the length of the
+   engine run, so a frame reaches the client of the job that emitted
+   it without any shared table. *)
 
 let obs_submitted = Obs.counter "serve.jobs.submitted"
 let obs_rejected = Obs.counter "serve.jobs.rejected"
@@ -50,7 +51,6 @@ type t = {
   nonempty : Condition.t;
   queue : job Queue.t;
   jobs : (int, job) Hashtbl.t; (* id -> job, until its terminal event *)
-  by_domain : (int, job) Hashtbl.t; (* worker domain id -> running job *)
   mutable next_id : int;
   mutable running : int;
   mutable completed : int;
@@ -63,43 +63,6 @@ type t = {
 }
 
 let workers t = List.length t.workers
-
-(* ---------- the progress listener ---------- *)
-
-(* One process-global dispatch table: scheduler creation registers
-   itself, shutdown unregisters. Kept as a list so tests can run a
-   scheduler while an unrelated traversal executes on the main domain
-   (its domain id simply misses every table). *)
-let schedulers : t list Atomic.t = Atomic.make []
-
-let rec add_scheduler t =
-  let old = Atomic.get schedulers in
-  if not (Atomic.compare_and_set schedulers old (t :: old)) then add_scheduler t
-
-let rec remove_scheduler t =
-  let old = Atomic.get schedulers in
-  if not (Atomic.compare_and_set schedulers old (List.filter (fun s -> s != t) old)) then
-    remove_scheduler t
-
-let dispatch_frame ~domain ~index ~nodes =
-  List.iter
-    (fun t ->
-      let job =
-        Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.by_domain domain)
-      in
-      match job with
-      | None -> ()
-      | Some job ->
-        job.frames <- job.frames + 1;
-        Obs.incr obs_frames;
-        job.emit (Protocol.Progress { id = job.id; frame = index; nodes }))
-    (Atomic.get schedulers)
-
-let install_listener () =
-  Obs.Progress.set_listener
-    (match Atomic.get schedulers with
-    | [] -> None
-    | _ -> Some (fun ~domain ~index ~nodes -> dispatch_frame ~domain ~index ~nodes))
 
 (* ---------- per-job reports ---------- *)
 
@@ -155,28 +118,31 @@ let finish t job =
 
 let run_job t job =
   let limits = Obs.Limits.arm (Util.Limits.of_budget job.budget) in
-  let dom = (Domain.self () :> int) in
   Mutex.protect t.mutex (fun () ->
       job.limits <- Some limits;
       (* a cancel that arrived while the job sat in the queue already
          set the flag; trip the fresh governor so the engine returns
          immediately at its first checkpoint *)
       if job.cancel_requested then Util.Limits.cancel limits;
-      Hashtbl.replace t.by_domain dom job;
       t.running <- t.running + 1);
   job.emit (Protocol.Started { id = job.id });
+  let on_frame ~index ~nodes =
+    job.frames <- job.frames + 1;
+    Obs.incr obs_frames;
+    job.emit (Protocol.Progress { id = job.id; frame = index; nodes })
+  in
   let watch = Util.Stopwatch.start () in
   let outcome =
     try
       let model = Netlist.Aiger.read ~name:job.model_name job.aig in
-      Ok (job.engine.Baselines.Suite.run ~limits model)
+      Ok
+        (Obs.Progress.with_listener on_frame (fun () ->
+             job.engine.Baselines.Suite.run ~limits model))
     with exn -> Error (Printexc.to_string exn)
   in
   let seconds = Util.Stopwatch.elapsed watch in
   Obs.add_seconds obs_span seconds;
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.remove t.by_domain dom;
-      t.running <- t.running - 1);
+  Mutex.protect t.mutex (fun () -> t.running <- t.running - 1);
   (match outcome with
   | Ok (verdict, _trace) ->
     let report =
@@ -229,7 +195,6 @@ let create ?(jobs = Par.Pool.default_jobs ()) ?(ceiling = Protocol.no_budget) ?s
       nonempty = Condition.create ();
       queue = Queue.create ();
       jobs = Hashtbl.create 64;
-      by_domain = Hashtbl.create 16;
       next_id = 0;
       running = 0;
       completed = 0;
@@ -245,8 +210,6 @@ let create ?(jobs = Par.Pool.default_jobs ()) ?(ceiling = Protocol.no_budget) ?s
       workers = [];
     }
   in
-  add_scheduler t;
-  install_listener ();
   t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
@@ -330,8 +293,6 @@ let shutdown t =
   in
   if not already then begin
     List.iter Domain.join t.workers;
-    remove_scheduler t;
-    install_listener ();
     match t.store with
     | Some store -> ( try Mutex.protect t.store_mutex (fun () -> Obs.Store.flush store) with _ -> ())
     | None -> ()

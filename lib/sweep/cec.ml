@@ -26,7 +26,7 @@ let check ?config ?bank aig checker ~prng a b =
   let verdict =
     if merged then Equivalent
     else begin
-      match Cnf.Checker.equal checker a' b' with
+      match Cnf.Checker.equal ~conflict_limit:Sweeper.conflict_limit checker a' b' with
       | Cnf.Checker.Yes -> Equivalent
       | Cnf.Checker.No ->
         let support = Aig.support_list aig [ a; b ] in

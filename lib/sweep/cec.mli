@@ -11,7 +11,7 @@
 type verdict =
   | Equivalent
   | Inequivalent of (Aig.var * bool) list (* distinguishing assignment *)
-  | Unknown (* conflict budget exhausted *)
+  | Unknown (* the final miter check ran out of its conflict budget *)
 
 type report = {
   verdict : verdict;
@@ -24,7 +24,8 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 (** [check ?config ?bank aig checker ~prng a b] — are literals [a] and [b]
     (same manager) functionally equal? [bank] enables counterexample
-    recycling across repeated checks over one manager. *)
+    recycling across repeated checks over one manager. The final miter
+    check has the sweeper's per-pair budget, {!Sweeper.conflict_limit}. *)
 val check :
   ?config:Sweeper.config ->
   ?bank:Pattern_bank.t ->

@@ -23,20 +23,10 @@ let obs_cone_size = Obs.histogram "sweep.cone_size"
 let obs_bdd_stage_skips = Obs.counter "limits.bdd_stage_skips"
 let obs_sat_stage_breaks = Obs.counter "limits.sat_stage_breaks"
 
-type config = {
-  sim_rounds : int;
-  bdd_node_limit : int;
-  sat : direction option;
-  sat_conflict_limit : int option;
-}
+type config = { sim_rounds : int; bdd_node_limit : int; sat : direction option }
 
-let default =
-  {
-    sim_rounds = 8;
-    bdd_node_limit = 5_000;
-    sat = Some Forward;
-    sat_conflict_limit = Some 10_000;
-  }
+let default = { sim_rounds = 8; bdd_node_limit = 5_000; sat = Some Forward }
+let conflict_limit = 10_000
 
 type report = {
   cone_size : int;
@@ -153,7 +143,6 @@ let run ?(config = default) ?bank aig checker ~prng ~roots =
   | Some direction ->
     Obs.Trace_events.begin_ "sweep.sat";
     Obs.incr (match direction with Forward -> obs_forward_runs | Backward -> obs_backward_runs);
-    Cnf.Checker.set_conflict_limit checker config.sat_conflict_limit;
     let hard : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
     (* backward mode: nodes strictly below an already-merged node *)
     let covered : unit Util.Int_tbl.t = Util.Int_tbl.create 16 in
@@ -201,7 +190,7 @@ let run ?(config = default) ?bank aig checker ~prng ~roots =
           end
           else begin
             incr sat_calls;
-            match Cnf.Checker.equal checker ra rb with
+            match Cnf.Checker.equal ~conflict_limit checker ra rb with
             | Cnf.Checker.Yes ->
               Merge_map.union mm ra rb;
               incr sat_merges;

@@ -24,12 +24,14 @@ type config = {
   sim_rounds : int; (* random simulation words per variable *)
   bdd_node_limit : int; (* 0 disables BDD sweeping *)
   sat : direction option; (* None disables the SAT stage *)
-  sat_conflict_limit : int option; (* per-query budget *)
 }
 
+(** Every stage enabled, forward SAT. *)
 val default : config
 
-(** [default] with every stage enabled, forward SAT. *)
+(** The conflict budget of each SAT compare point (10 000): a pair it
+    does not settle is skipped, counted in [sat_unknown]. *)
+val conflict_limit : int
 
 type report = {
   cone_size : int;

@@ -1,9 +1,4 @@
-type config = {
-  sim_rounds : int;
-  conflict_limit : int option;
-  use_merges : bool;
-  odc_max_tries : int;
-}
+type config = { use_merges : bool; odc_max_tries : int }
 
 let obs_span = Obs.span "dontcare.disjunction"
 let obs_attempts = Obs.counter "dontcare.attempts"
@@ -14,7 +9,12 @@ let obs_odc_attempts = Obs.counter "dontcare.odc.attempts"
 let obs_odc_accepted = Obs.counter "dontcare.odc.accepted"
 let obs_odc_rejected = Obs.counter "dontcare.odc.rejected"
 
-let default = { sim_rounds = 8; conflict_limit = Some 5_000; use_merges = true; odc_max_tries = 16 }
+let default = { use_merges = true; odc_max_tries = 16 }
+
+(* random simulation words per variable, and the conflict budget of each
+   input-DC and ODC check: a candidate it does not settle is dropped *)
+let sim_rounds = 8
+let conflict_limit = 5_000
 
 type report = {
   const_replacements : int;
@@ -49,7 +49,7 @@ let input_dc_pass aig checker ~prng ~config ~bank ~care ~target ~extra_targets =
   if care = Aig.true_ || Aig.is_const target then (target, 0, 0)
   else begin
     let roots = target :: care :: extra_targets in
-    let sim = Sweep.Sim.create ?bank aig ~roots ~rounds:config.sim_rounds ~prng in
+    let sim = Sweep.Sim.create ?bank aig ~roots ~rounds:sim_rounds ~prng in
     let n_words = Sweep.Sim.words sim in
     let n_bank = Sweep.Sim.bank_words sim in
     let care_word = Array.init n_words (fun w -> Sweep.Sim.lit_word sim care w) in
@@ -122,7 +122,6 @@ let input_dc_pass aig checker ~prng ~config ~bank ~care ~target ~extra_targets =
     in
     let repl_tbl : Aig.lit Util.Int_tbl.t = Util.Int_tbl.create 16 in
     let consts = ref 0 and merges = ref 0 in
-    Cnf.Checker.set_conflict_limit checker config.conflict_limit;
     List.iter
       (fun n ->
         let ln = Aig.lit_of_node n in
@@ -145,7 +144,7 @@ let input_dc_pass aig checker ~prng ~config ~bank ~care ~target ~extra_targets =
             end
             else begin
               Obs.incr obs_attempts;
-              match Cnf.Checker.equal_under checker ~care ln lm with
+              match Cnf.Checker.equal_under ~conflict_limit checker ~care ln lm with
               | Cnf.Checker.Yes ->
                 Util.Int_tbl.replace repl_tbl n lm;
                 if Aig.is_const lm then begin
@@ -181,7 +180,7 @@ let odc_pass aig checker ~prng ~config ~bank g =
     let continue = ref true in
     while !continue && !tries > 0 do
       continue := false;
-      let sim = Sweep.Sim.create ?bank aig ~roots:[ !g ] ~rounds:config.sim_rounds ~prng in
+      let sim = Sweep.Sim.create ?bank aig ~roots:[ !g ] ~rounds:sim_rounds ~prng in
       let total_bits = 64 * Sweep.Sim.words sim in
       let popcount w =
         let c = ref 0 in
@@ -215,7 +214,7 @@ let odc_pass aig checker ~prng ~config ~bank g =
             let g' = Aig.rebuild aig ~repl !g in
             if g' <> !g && Aig.size aig g' < Aig.size aig !g then begin
               Obs.incr obs_odc_attempts;
-              match Cnf.Checker.equal checker !g g' with
+              match Cnf.Checker.equal ~conflict_limit checker !g g' with
               | Cnf.Checker.Yes ->
                 incr accepted;
                 Obs.incr obs_odc_accepted;

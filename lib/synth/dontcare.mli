@@ -25,8 +25,6 @@
     ([dontcare.sim.prefiltered]). *)
 
 type config = {
-  sim_rounds : int;
-  conflict_limit : int option;
   use_merges : bool; (* try merge replacements, not just constants *)
   odc_max_tries : int; (* 0 disables the ODC pass *)
 }
@@ -48,7 +46,8 @@ val pp_report : Format.formatter -> report -> unit
 (** [disjunction ?config aig checker ~prng f0 f1] returns a literal
     equivalent to [f0 ∨ f1], plus the transformation report. The result is
     never larger than the plain [Aig.or_]: passes that do not help are
-    discarded. *)
+    discarded. Each input-DC and ODC check may spend 5 000 conflicts; a
+    candidate they do not settle is dropped. *)
 val disjunction :
   ?config:config ->
   ?bank:Sweep.Pattern_bank.t ->

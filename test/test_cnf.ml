@@ -80,12 +80,10 @@ let test_checker_satisfiable () =
     (Cnf.Checker.satisfiable ch [ x; Aig.false_ ]);
   check answer_t "empty conjunction" Cnf.Checker.Yes (Cnf.Checker.satisfiable ch [])
 
-let test_checker_valid_equal () =
+let test_checker_equal () =
   let aig = Aig.create () in
   let ch = Cnf.Checker.create aig in
   let x = Aig.var aig 0 and y = Aig.var aig 1 in
-  check answer_t "tautology" Cnf.Checker.Yes (Cnf.Checker.valid ch (Aig.or_ aig x (Aig.not_ x)));
-  check answer_t "non-tautology" Cnf.Checker.No (Cnf.Checker.valid ch x);
   (* De Morgan *)
   let lhs = Aig.not_ (Aig.and_ aig x y) in
   let rhs = Aig.or_ aig (Aig.not_ x) (Aig.not_ y) in
@@ -93,15 +91,6 @@ let test_checker_valid_equal () =
   check answer_t "x != y" Cnf.Checker.No (Cnf.Checker.equal ch x y);
   check answer_t "literal equality shortcut" Cnf.Checker.Yes (Cnf.Checker.equal ch x x);
   check answer_t "complement shortcut" Cnf.Checker.No (Cnf.Checker.equal ch x (Aig.not_ x))
-
-let test_checker_implies () =
-  let aig = Aig.create () in
-  let ch = Cnf.Checker.create aig in
-  let x = Aig.var aig 0 and y = Aig.var aig 1 in
-  check answer_t "x&y implies x" Cnf.Checker.Yes (Cnf.Checker.implies ch (Aig.and_ aig x y) x);
-  check answer_t "x does not imply x&y" Cnf.Checker.No
-    (Cnf.Checker.implies ch x (Aig.and_ aig x y));
-  check answer_t "false implies anything" Cnf.Checker.Yes (Cnf.Checker.implies ch Aig.false_ x)
 
 let test_checker_equal_under () =
   let aig = Aig.create () in
@@ -153,11 +142,15 @@ let test_checker_budget () =
       (List.init holes Fun.id)
   in
   let formula = Aig.and_list aig (per_pigeon @ no_share) in
-  Cnf.Checker.set_conflict_limit ch (Some 3);
-  check answer_t "budget cuts off" Cnf.Checker.Maybe (Cnf.Checker.satisfiable ch [ formula ]);
-  check bool "cutoff counted" true (Cnf.Checker.budget_cutoffs ch > 0);
-  Cnf.Checker.set_conflict_limit ch None;
-  check answer_t "full run decides" Cnf.Checker.No (Cnf.Checker.satisfiable ch [ formula ])
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ()) @@ fun () ->
+  check answer_t "budget cuts off" Cnf.Checker.Maybe
+    (Cnf.Checker.satisfiable ~conflict_limit:3 ch [ formula ]);
+  check int "cutoff counted" 1 (Obs.value_of "cnf.budget_cutoffs");
+  (* the budget belonged to that query alone: the next one, with no
+     reset in between, is exact *)
+  check answer_t "next query decides" Cnf.Checker.No (Cnf.Checker.satisfiable ch [ formula ])
 
 let test_query_counter () =
   let aig = Aig.create () in
@@ -165,7 +158,7 @@ let test_query_counter () =
   let x = Aig.var aig 0 in
   let q0 = Cnf.Checker.queries ch in
   ignore (Cnf.Checker.satisfiable ch [ x ]);
-  ignore (Cnf.Checker.valid ch x);
+  ignore (Cnf.Checker.equal ch x (Aig.var aig 1));
   check bool "queries counted" true (Cnf.Checker.queries ch > q0)
 
 (* ---------- properties: random cones vs brute force ---------- *)
@@ -261,8 +254,7 @@ let () =
       ( "checker",
         [
           Alcotest.test_case "satisfiable" `Quick test_checker_satisfiable;
-          Alcotest.test_case "valid/equal" `Quick test_checker_valid_equal;
-          Alcotest.test_case "implies" `Quick test_checker_implies;
+          Alcotest.test_case "equal" `Quick test_checker_equal;
           Alcotest.test_case "equal under care set" `Quick test_checker_equal_under;
           Alcotest.test_case "model extraction" `Quick test_checker_model;
           Alcotest.test_case "conflict budget" `Quick test_checker_budget;

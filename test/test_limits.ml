@@ -146,9 +146,10 @@ let test_checker_shortcuts_to_maybe () =
   let aig = Aig.create () in
   let x = Aig.var aig 0 and y = Aig.var aig 1 in
   let f = Aig.and_ aig x y in
-  let checker = Cnf.Checker.create aig in
+  let limits = Util.Limits.create () in
+  let checker = Cnf.Checker.create ~limits aig in
   check bool "decides before exhaustion" true (Cnf.Checker.satisfiable checker [ f ] = Cnf.Checker.Yes);
-  Cnf.Checker.set_limits checker (expired ());
+  Util.Limits.cancel limits;
   check bool "answers Maybe after exhaustion" true
     (Cnf.Checker.satisfiable checker [ f ] = Cnf.Checker.Maybe)
 
@@ -160,9 +161,8 @@ let test_solver_charges_the_pool () =
   let sum1 = List.fold_left (Aig.xor_ aig) Aig.false_ xs in
   let sum2 = List.fold_right (fun x acc -> Aig.xor_ aig acc x) xs Aig.false_ in
   let diff = Aig.xor_ aig sum1 sum2 in
-  let checker = Cnf.Checker.create aig in
   let l = Util.Limits.create ~max_conflicts:1_000_000 () in
-  Cnf.Checker.set_limits checker l;
+  let checker = Cnf.Checker.create ~limits:l aig in
   check bool "xor trees agree" true (Cnf.Checker.satisfiable checker [ diff ] = Cnf.Checker.No);
   let remaining = Option.get (Util.Limits.conflict_budget l) in
   check bool "pool untouched or drained, never grown" true (remaining <= 1_000_000)
@@ -178,8 +178,7 @@ let redundant_pair () =
 
 let test_sweep_under_expired_deadline_is_sound () =
   let aig, f, g = redundant_pair () in
-  let checker = Cnf.Checker.create aig in
-  Cnf.Checker.set_limits checker (expired ());
+  let checker = Cnf.Checker.create ~limits:(expired ()) aig in
   let prng = Util.Prng.create 7 in
   let repl, report = Sweep.Sweeper.run aig checker ~prng ~roots:[ f; g ] in
   (* whatever was proven before the trip survives, and is really proven *)
@@ -192,11 +191,10 @@ let test_conflict_trip_does_not_skip_bdd_stage () =
   (* the conflict pool gates SAT, not BDDs: with the pool already dry the
      BDD stage must still close this purely-structural pair *)
   let aig, f, g = redundant_pair () in
-  let checker = Cnf.Checker.create aig in
   let l = Util.Limits.create ~max_conflicts:1 () in
   Util.Limits.charge_conflicts l 10;
   check bool "pool tripped up front" true (Util.Limits.exhausted l = Some Util.Limits.Conflicts);
-  Cnf.Checker.set_limits checker l;
+  let checker = Cnf.Checker.create ~limits:l aig in
   let prng = Util.Prng.create 7 in
   let repl, report = Sweep.Sweeper.run aig checker ~prng ~roots:[ f; g ] in
   check bool "bdd merges found despite dry SAT pool" true (report.Sweep.Sweeper.bdd_merges > 0);
@@ -223,8 +221,7 @@ let test_quantify_fallback_equivalence () =
     (aig, f)
   in
   let aig, f = build () in
-  let checker = Cnf.Checker.create aig in
-  Cnf.Checker.set_limits checker (expired ());
+  let checker = Cnf.Checker.create ~limits:(expired ()) aig in
   let prng = Util.Prng.create 21 in
   let limited = Cbq.Quantify.all aig checker ~prng f ~vars:[ 0; 2 ] in
   check int "degraded quantification returns f" f limited.Cbq.Quantify.lit;

@@ -289,14 +289,15 @@ let batch_matches_sequential () =
   let cases =
     [ ("counter", 2); ("counter", 3); ("counter-even", 4); ("gray", 3); ("twin-shift", 4) ]
   in
-  (* sequential ground truth straight from the suite *)
+  (* sequential ground truth straight from the suite, and the frame
+     count of the same traversal: one progress event per frame *)
   let expected =
     List.map
       (fun (name, param) ->
         let model, _ = Circuits.Registry.build name (Some param) in
         let engine = Option.get (Baselines.Suite.find "cbq-bwd") in
         let verdict, _ = engine.Baselines.Suite.run ~limits:(Util.Limits.create ()) model in
-        verdict)
+        (verdict, List.length (Cbq.Reachability.run model).Cbq.Reachability.iterations))
       cases
   in
   with_server ~jobs:4 @@ fun _server address ->
@@ -307,12 +308,13 @@ let batch_matches_sequential () =
   in
   let outcomes = Serve.Client.run_batch c specs in
   List.iteri
-    (fun i (exp, got) ->
+    (fun i ((exp, frames), got) ->
       match got with
-      | Serve.Client.Finished { verdict; _ } ->
+      | Serve.Client.Finished { verdict; progress; _ } ->
         check bool
           (Printf.sprintf "job %d agrees with the sequential verdict" i)
-          true (verdict = exp)
+          true (verdict = exp);
+        check int (Printf.sprintf "job %d streams one progress event per frame" i) frames progress
       | Serve.Client.Crashed { message; _ } -> Alcotest.fail message
       | Serve.Client.Refused { reason } -> Alcotest.fail reason)
     (List.combine expected outcomes)
