@@ -29,7 +29,9 @@ let node_of_lit l = l lsr 1
 let is_complemented l = l land 1 = 1
 let lit_of_node n = n lsl 1
 
-let create ?(initial_capacity = 1024) () =
+let initial_capacity = 1024
+
+let create () =
   let t =
     {
       fanin0 = Util.Vec_int.create ~capacity:initial_capacity ();

@@ -20,7 +20,7 @@ type lit = int
 (** A variable index (dense, starting at 0). *)
 type var = int
 
-val create : ?initial_capacity:int -> unit -> t
+val create : unit -> t
 
 val false_ : lit
 val true_ : lit

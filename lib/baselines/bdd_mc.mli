@@ -21,9 +21,9 @@ type result = {
   bdd_nodes : int;  (** total BDD nodes allocated by the manager *)
 }
 
-(** Backward reachability from [¬P]. [config] sets the iteration limit
-    and whether a counterexample trace is built; its quantification
-    settings do not apply. [limits] is a run-wide governor: every BDD
+(** Backward reachability from [¬P]. [config] sets whether a
+    counterexample trace is built; its quantification settings do not
+    apply. [limits] is a run-wide governor: every BDD
     operation runs under [node_limit], tightened by what is left of the
     governor's BDD node pool (blowing the pool is a fatal trip) and
     charged to it, and polls the governor's deadline while it builds. *)

@@ -35,7 +35,7 @@ val enumerate :
 (** Backward reachability where every pre-image is computed by
     enumeration over the in-lined frontier's inputs (and any residuals
     of the bad-state quantification). [config] is the traversal's (trace,
-    iteration limit, and the quantification of the property's inputs);
+    and the quantification of the property's inputs);
     [max_enumerations] bounds the solutions over the whole run. *)
 val run :
   ?config:Cbq.Reachability.config ->

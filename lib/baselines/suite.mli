@@ -18,10 +18,10 @@ type config = {
   induction_k : int;  (** k-induction ceiling *)
   cbq : Cbq.Reachability.config;
       (** configuration of the engines on the frame loop — both CBQ
-          traversals, cofactor and hybrid (trace rebuilding, iteration
-          limit, quantification, sweeping; hybrid tightens the growth
-          budget), and both BDD traversals (trace rebuilding and
-          iteration limit only); BMC and induction ignore it *)
+          traversals, cofactor and hybrid (trace rebuilding,
+          quantification, sweeping; hybrid tightens the growth budget),
+          and both BDD traversals (trace rebuilding only); BMC and
+          induction ignore it *)
 }
 
 val default_config : config

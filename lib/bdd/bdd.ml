@@ -25,7 +25,9 @@ type t = {
 
 let poll_interval = 4096
 
-let create ?(initial_capacity = 1024) () =
+let initial_capacity = 1024
+
+let create () =
   let t =
     {
       vars = Util.Vec_int.create ~capacity:initial_capacity ();

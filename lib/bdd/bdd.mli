@@ -20,7 +20,7 @@ type var = int
 
 exception Node_limit
 
-val create : ?initial_capacity:int -> unit -> t
+val create : unit -> t
 
 val zero : node
 val one : node

@@ -39,9 +39,9 @@ let record_aborted_vars vars =
       (String.concat "," (List.map (Printf.sprintf "x%d") vars));
   vars
 
-type config = { quant : Quantify.config; max_iterations : int; make_trace : bool }
+type config = { quant : Quantify.config; make_trace : bool }
 
-let default = { quant = Quantify.default; max_iterations = 200; make_trace = true }
+let default = { quant = Quantify.default; make_trace = true }
 
 let pp_result ppf r =
   Format.fprintf ppf "%a  iterations=%d peak-frontier=%d sat-queries=%d %.3fs" Verdict.pp
@@ -133,8 +133,6 @@ let frame_loop ~config ~limits model (build : Cnf.Checker.t -> 'set sets) =
       match Util.Limits.check_aig_nodes limits (Aig.num_nodes aig) with
       | Some r -> limit_stop (Util.Limits.resource_name r)
       | None ->
-      if k > config.max_iterations then undecided "iteration limit"
-      else begin
         let step_watch = Util.Stopwatch.start () in
         Obs.Trace_events.begin_args "reach.frame" "frame" k;
         in_frame := true;
@@ -184,7 +182,6 @@ let frame_loop ~config ~limits model (build : Cnf.Checker.t -> 'set sets) =
             frontier := s.and_ new_frontier (s.not_ !reached);
             reached := reached';
             loop (k + 1))
-      end
     in
     match s.meets s.init s.bad with
     | Cnf.Checker.Yes -> falsified 0

@@ -29,11 +29,12 @@ type iteration = {
 
 type result = {
   verdict : Verdict.t;
-  (* [Undecided reason]: the anytime answer when the iteration limit, a
-     {!Util.Limits} resource or a step's own budget ([reason] names it)
-     stopped the traversal; [iterations] holds the frames completed
-     before. Never wrong — a run that cannot certify its answer within
-     budget lands here instead. *)
+  (* [Undecided reason]: the anytime answer when a {!Util.Limits}
+     resource or a step's own budget ([reason] names it) stopped the
+     traversal; [iterations] holds the frames completed before. Never
+     wrong — a run that cannot certify its answer within budget lands
+     here instead. Without a budget the loop runs to a verdict: the
+     onion rings add new states every frame, so it ends. *)
   trace : Trace.t option; (* on [Falsified], when [make_trace] asked for one *)
   iterations : iteration list;
   total_seconds : float;
@@ -50,7 +51,7 @@ type result = {
      mirrored into the run report as the [quantify.aborted_vars] meta. *)
 }
 
-type config = { quant : Quantify.config; max_iterations : int; make_trace : bool }
+type config = { quant : Quantify.config; make_trace : bool }
 
 val default : config
 

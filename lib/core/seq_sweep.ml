@@ -106,9 +106,13 @@ let class_constraint aig classes =
   in
   Aig.and_list aig constraints
 
-let reduce ?(sim_steps = 16) ?(seed = 57) model =
+(* simulation depth and seed of the initial candidate classes *)
+let sim_steps = 16
+let sim_seed = 57
+
+let reduce model =
   let aig = Netlist.Model.aig model in
-  let prng = Util.Prng.create seed in
+  let prng = Util.Prng.create sim_seed in
   let checker = Cnf.Checker.create aig in
   let next_of =
     let table = Hashtbl.create 16 in

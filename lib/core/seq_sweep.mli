@@ -27,8 +27,8 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-(** [reduce ?sim_steps ?seed m] — returns the reduced model (same AIG
+(** [reduce m] — returns the reduced model (same AIG
     manager, same input variables, subset of the latches) and the report.
     The reduced model's property is the original property with merged
     state variables substituted. *)
-val reduce : ?sim_steps:int -> ?seed:int -> Netlist.Model.t -> Netlist.Model.t * report
+val reduce : Netlist.Model.t -> Netlist.Model.t * report

@@ -15,8 +15,11 @@ type failure_report = {
 
 type result = { count : int; failures : failure_report list }
 
+(* candidate models one shrink may try *)
+let max_shrink_candidates = 400
+
 let run ?(knobs = Gen.default) ?(config = Oracle.default_config) ?corpus_dir ?(shrink = true)
-    ?(max_shrink_candidates = 400) ?on_model ?(jobs = 1) ~seed ~count () =
+    ?on_model ?(jobs = 1) ~seed ~count () =
   let jobs = max 1 (min jobs (max 1 count)) in
   let on_model_lock = Mutex.create () in
   let notify i model_seed =

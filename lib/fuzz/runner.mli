@@ -37,7 +37,6 @@ val run :
   ?config:Oracle.config ->
   ?corpus_dir:string ->
   ?shrink:bool ->
-  ?max_shrink_candidates:int ->
   ?on_model:(int -> int -> unit) ->
   ?jobs:int ->
   seed:int ->

@@ -1,10 +1,16 @@
-(** ASCII AIGER ("aag") interchange, read and write.
+(** AIGER interchange in both encodings, ascii ("aag") and binary
+    ("aig"): one writer and one reader, each taking the encoding as a
+    parameter, so the variable numbering, the header bounds and the model
+    construction exist once.
 
     The single output of the written file is the {e bad-state} function
-    [¬P], following the common model-checking convention, and latch lines
-    carry the AIGER-1.9 three-field form [current next init]. The reader
-    accepts both two- and three-field latch lines (two-field latches reset
-    to 0) and takes output 0 as the bad-state function. *)
+    [¬P], following the common model-checking convention, and ascii latch
+    lines carry the AIGER-1.9 three-field form [current next init]. The
+    reader accepts both two- and three-field latch lines (two-field
+    latches reset to 0) and takes output 0 as the bad-state function.
+    Reading time is linear in the document: every header count is bounded
+    by the document before anything is allocated, and building the model
+    looks each latch up in a table and walks the combined cone once. *)
 
 (** Malformed input: [line] is the 1-based line number (for the binary
     AND section, the line where that section starts), [token] the

@@ -5,11 +5,13 @@ type t = {
   aig : Aig.t;
   mutable inputs_rev : Aig.var list;
   mutable latches_rev : pending_latch list;
+  latch_of_var : (Aig.var, pending_latch) Hashtbl.t;
   mutable property : Aig.lit option;
 }
 
 let create name =
-  { name; aig = Aig.create (); inputs_rev = []; latches_rev = []; property = None }
+  let latch_of_var = Hashtbl.create 64 in
+  { name; aig = Aig.create (); inputs_rev = []; latches_rev = []; latch_of_var; property = None }
 
 let aig b = b.aig
 
@@ -22,7 +24,9 @@ let inputs b n = List.init n (fun _ -> input b)
 
 let latch b ~init =
   let v = Aig.fresh_var b.aig in
-  b.latches_rev <- { state_var = v; init; next = None } :: b.latches_rev;
+  let l = { state_var = v; init; next = None } in
+  b.latches_rev <- l :: b.latches_rev;
+  Hashtbl.replace b.latch_of_var v l;
   Aig.var b.aig v
 
 let latches b ~init n = List.init n (fun _ -> latch b ~init)
@@ -32,7 +36,7 @@ let connect b q next =
   | None -> invalid_arg "Builder.connect: not a latch literal"
   | Some v -> (
     if Aig.is_complemented q then invalid_arg "Builder.connect: use the positive phase";
-    match List.find_opt (fun l -> l.state_var = v) b.latches_rev with
+    match Hashtbl.find_opt b.latch_of_var v with
     | None -> invalid_arg "Builder.connect: not a latch literal"
     | Some l -> (
       match l.next with

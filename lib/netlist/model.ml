@@ -42,22 +42,20 @@ let validate m =
   match !dup with
   | Some v -> Error (Printf.sprintf "variable %d declared twice" v)
   | None ->
-    let check_support what lit =
-      let bad =
-        List.filter (fun v -> not (Hashtbl.mem declared v)) (Aig.support m.aig lit)
+    let undeclared lits =
+      List.find_opt (fun v -> not (Hashtbl.mem declared v)) (Aig.support_list m.aig lits)
+    in
+    let offence (what, lit) =
+      Option.map (Printf.sprintf "%s depends on undeclared variable %d" what) (undeclared [ lit ])
+    in
+    if undeclared (m.property :: List.map (fun l -> l.next) m.latches) = None then Ok ()
+    else
+      (* one pass over every root above; only a failing model pays to
+         name the first offending one, latches before the property *)
+      let latch_roots =
+        List.map (fun l -> (Printf.sprintf "latch %d next-state" l.state_var, l.next)) m.latches
       in
-      match bad with
-      | [] -> Ok ()
-      | v :: _ -> Error (Printf.sprintf "%s depends on undeclared variable %d" what v)
-    in
-    let rec check_all = function
-      | [] -> check_support "property" m.property
-      | l :: rest -> (
-        match check_support (Printf.sprintf "latch %d next-state" l.state_var) l.next with
-        | Ok () -> check_all rest
-        | Error _ as e -> e)
-    in
-    check_all m.latches
+      Error (Option.get (List.find_map offence (latch_roots @ [ ("property", m.property) ])))
 
 let eval_step m ~state ~inputs =
   let env v =

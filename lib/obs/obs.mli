@@ -322,13 +322,11 @@ module Sampler : sig
   type t
 
   (** Take the [t = 0] sample and spawn the sampling domain. [interval]
-      is seconds between samples (default 0.05, must be positive);
-      [counters] names the registry counters to record (default: SAT
-      pressure, fixed-point progress and quantification aborts);
-      [limits] adds the governor's remaining budgets (deadline seconds,
+      is seconds between samples (default 0.05, must be positive). Every
+      point records SAT pressure, fixed-point progress and
+      quantification aborts; [limits] adds the governor's remaining budgets (deadline seconds,
       conflict pool, BDD pool, AIG headroom) to every point. *)
-  val start :
-    ?interval:float -> ?counters:string list -> ?limits:Util.Limits.t -> unit -> t
+  val start : ?interval:float -> ?limits:Util.Limits.t -> unit -> t
 
   (** Join the sampling domain, take the closing sample (every series
       has ≥ 2 points), install the ["timeseries"] report section and

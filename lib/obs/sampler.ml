@@ -44,10 +44,10 @@ type t = {
 
 let default_interval = 0.05
 
-(* the counters worth a curve by default: solver pressure,
-   fixed-point progress, and quantification abort pressure (the curve
-   that shows the quantifier giving up mid-traversal) *)
-let default_counters =
+(* the counters worth a curve: solver pressure, fixed-point progress,
+   and quantification abort pressure (the curve that shows the
+   quantifier giving up mid-traversal) *)
+let counters =
   [
     "sat.solve_calls";
     "sat.conflicts";
@@ -88,7 +88,7 @@ let run t =
     if not (Atomic.get t.stop_flag) then take_sample t
   done
 
-let start ?(interval = default_interval) ?(counters = default_counters) ?limits () =
+let start ?(interval = default_interval) ?limits () =
   if not (interval > 0.0) then invalid_arg "Sampler.start: interval must be positive";
   let t =
     {

@@ -66,7 +66,10 @@ let truth_table aig n cut =
   in
   node_tt n
 
-let resubstitute ?(max_cuts = 8) aig root =
+(* cuts kept per node, the trivial cut included *)
+let max_cuts = 8
+
+let resubstitute aig root =
   let size_before = Aig.size aig root in
   let nodes = Aig.cone aig [ root ] in
   (* node -> cuts (sorted leaf arrays, trivial cut first) *)

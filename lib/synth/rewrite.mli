@@ -22,7 +22,7 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-(** [resubstitute ?max_cuts aig l] rewrites the cone of [l]; the result is
-    functionally equal to [l] and never larger ([max_cuts] bounds the cut
-    list per node, default 8). *)
-val resubstitute : ?max_cuts:int -> Aig.t -> Aig.lit -> Aig.lit * report
+(** [resubstitute aig l] rewrites the cone of [l]; the result is
+    functionally equal to [l] and never larger (each node keeps at most
+    8 cuts). *)
+val resubstitute : Aig.t -> Aig.lit -> Aig.lit * report

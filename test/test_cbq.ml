@@ -393,14 +393,6 @@ let test_reachability_naive_variant () =
   | Cbq.Verdict.Falsified depth -> check int "naive agrees" 3 depth
   | _ -> Alcotest.fail "expected falsification"
 
-let test_reachability_iteration_limit () =
-  let config = { Cbq.Reachability.default with max_iterations = 2 } in
-  let model, _ = Circuits.Registry.build "counter" (Some 4) in
-  let r = Cbq.Reachability.run ~config model in
-  match r.Cbq.Reachability.verdict with
-  | Cbq.Verdict.Undecided _ -> ()
-  | v -> Alcotest.fail (Format.asprintf "expected budget exhaustion, got %a" Cbq.Verdict.pp v)
-
 (* ---------- golden traversals ---------- *)
 
 (* Both CBQ directions, cofactor and hybrid share one frame loop; these
@@ -545,7 +537,6 @@ let () =
           Alcotest.test_case "profile sanity" `Quick test_reachability_profile;
           Alcotest.test_case "naive quantification variant" `Quick
             test_reachability_naive_variant;
-          Alcotest.test_case "iteration limit" `Quick test_reachability_iteration_limit;
           Alcotest.test_case "golden traversals, both directions" `Quick
             test_golden_traversals;
         ] );

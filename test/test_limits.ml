@@ -251,8 +251,9 @@ let test_quantify_fallback_equivalence () =
    mid-frame stops promptly, because the quantifier keeps the frame's
    remaining variables instead of grinding through them unoptimized *)
 let test_cancel_stops_traversal () =
-  (* mult-cmp 10 takes about 0.3 s unbudgeted, so 50 ms is mid-run *)
-  let model, _ = Circuits.Registry.build "mult-cmp" (Some 10) in
+  (* mult-cmp 16 is one frame of about 0.3 s unbudgeted (2-vCPU VM), so
+     50 ms is mid-frame *)
+  let model, _ = Circuits.Registry.build "mult-cmp" (Some 16) in
   let limits = Util.Limits.create () in
   let config = { Cbq.Reachability.default with make_trace = false } in
   let result = Atomic.make None in
