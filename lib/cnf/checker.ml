@@ -21,8 +21,8 @@ let satisfiable ?conflict_limit t lits =
     Obs.incr obs_const_shortcuts;
     No
   end
-  else if Util.Limits.exhausted t.limits <> None then begin
-    (* governor already tripped: degrade without paying a solver call *)
+  else if Util.Limits.check t.limits <> None then begin
+    (* governor tripped or past its deadline: degrade without a solver call *)
     Obs.incr obs_cutoffs;
     Obs.incr obs_limit_shortcuts;
     Maybe

@@ -22,9 +22,11 @@ type answer = Yes | No | Maybe
 
 (** [create ?limits aig] binds every query of the checker to the
     run-wide resource governor [limits] ({!Util.Limits}, default
-    [Util.Limits.unlimited]): conflicts drain its shared pool, its
-    deadline is polled during search, and once it has tripped queries
-    answer [Maybe] without touching the solver. *)
+    [Util.Limits.unlimited]): conflicts drain its shared pool, and its
+    deadline is polled before every query ({!Util.Limits.check}, one
+    clock read) and during search. Once it has tripped, a query answers
+    [Maybe] without touching the solver, so a step that asks many small
+    queries notices a passed deadline at its next one. *)
 val create : ?limits:Util.Limits.t -> Aig.t -> t
 
 val aig : t -> Aig.t

@@ -2,7 +2,7 @@
    is kept for the SAT engine instead of eliminated (partial
    quantification, §4). The abort counters cover both causes, the growth
    budget and a tripped governor; [limits.quantify_fallbacks] counts the
-   governor's share. *)
+   governor's share, the variables [all] kept at a trip. *)
 let obs_span = Obs.span "quantify.one"
 let obs_eliminated = Obs.counter "quantify.vars.eliminated"
 let obs_aborted = Obs.counter "quantify.vars.aborted"
@@ -68,6 +68,10 @@ let within_budget config ~before ~after =
   || float_of_int after
      <= (config.growth_limit *. float_of_int before) +. float_of_int config.growth_slack
 
+(* the merge phase runs only when some sweeping stage can prove a merge *)
+let sweeps config =
+  config.sweep.Sweep.Sweeper.sat <> None || config.sweep.Sweep.Sweeper.bdd_node_limit > 0
+
 let one ?(config = default) ?bank aig checker ~prng l v =
   Obs.with_span obs_span @@ fun () ->
   Obs.Trace_events.begin_args "quantify.var" "var" v;
@@ -92,22 +96,9 @@ let one ?(config = default) ?bank aig checker ~prng l v =
     let f0 = Aig.cofactor aig l ~v ~phase:false in
     let f1 = Aig.cofactor aig l ~v ~phase:true in
     let size_naive = Aig.size aig (Aig.or_ aig f0 f1) in
-    (* governor tripped: keep the variable, the paper's §4 abort. The
-       plain disjunction is exact but unbounded in size, and sweeping,
-       don't-care optimization and rewriting all spend SAT or BDD effort
-       the budget no longer covers. *)
-    let degraded = Util.Limits.check (Cnf.Checker.limits checker) <> None in
-    if degraded then begin
-      Obs.incr obs_limit_fallbacks;
-      Obs.Trace_events.instant_args "quantify.limit_fallback" "var" v
-    end;
     (* merge phase on the joint cone of the two cofactors *)
-    let run_sweep =
-      (not degraded)
-      && (config.sweep.Sweep.Sweeper.sat <> None || config.sweep.Sweep.Sweeper.bdd_node_limit > 0)
-    in
     let (f0, f1), sweep_report =
-      if not run_sweep then ((f0, f1), None)
+      if not (sweeps config) then ((f0, f1), None)
       else begin
         let lits, report =
           Sweep.Sweeper.sweep_lits ~config:config.sweep ?bank aig checker ~prng [ f0; f1 ]
@@ -119,7 +110,7 @@ let one ?(config = default) ?bank aig checker ~prng l v =
     in
     (* optimization phase on the disjunction *)
     let result, dc_report =
-      if config.use_dontcare && not degraded then begin
+      if config.use_dontcare then begin
         let g, report =
           Synth.Dontcare.disjunction ~config:config.dontcare ?bank aig checker ~prng f0 f1
         in
@@ -128,13 +119,10 @@ let one ?(config = default) ?bank aig checker ~prng l v =
       else (Aig.or_ aig f0 f1, None)
     in
     let result =
-      if config.use_rewrite && not degraded then fst (Synth.Rewrite.resubstitute aig result)
-      else result
+      if config.use_rewrite then fst (Synth.Rewrite.resubstitute aig result) else result
     in
     let size_after = Aig.size aig result in
-    let aborted =
-      degraded || not (within_budget config ~before:size_before ~after:size_after)
-    in
+    let aborted = not (within_budget config ~before:size_before ~after:size_after) in
     (* an aborted variable keeps [l], so its report carries [l]'s size *)
     let size_kept = if aborted then size_before else size_after in
     (* partial-quantification marker: the variable stays for the SAT
@@ -179,23 +167,16 @@ let block ?(config = default) ?bank aig checker ~prng l ~vars =
           !c)
       |> List.sort_uniq Int.compare
     in
-    (* same abort as [one]: a tripped governor keeps the whole block *)
-    let degraded = Util.Limits.check (Cnf.Checker.limits checker) <> None in
-    if degraded then Obs.incr obs_limit_fallbacks;
     (* joint merge phase across every cofactor at once *)
     let cofactors =
-      let run_sweep =
-        (not degraded)
-        && (config.sweep.Sweep.Sweeper.sat <> None || config.sweep.Sweep.Sweeper.bdd_node_limit > 0)
-      in
-      if not run_sweep then cofactors
+      if not (sweeps config) then cofactors
       else
         fst (Sweep.Sweeper.sweep_lits ~config:config.sweep ?bank aig checker ~prng cofactors)
         |> List.sort_uniq Int.compare
     in
     (* balanced disjunction tree, each join optimized under mutual DCs *)
     let join a b =
-      if config.use_dontcare && not degraded then
+      if config.use_dontcare then
         fst (Synth.Dontcare.disjunction ~config:config.dontcare ?bank aig checker ~prng a b)
       else Aig.or_ aig a b
     in
@@ -210,8 +191,7 @@ let block ?(config = default) ?bank aig checker ~prng l ~vars =
         reduce (pair_up xs)
     in
     let result = reduce cofactors in
-    if (not degraded) && within_budget config ~before:size_before ~after:(Aig.size aig result)
-    then Ok result
+    if within_budget config ~before:size_before ~after:(Aig.size aig result) then Ok result
     else Error result
   end
 
@@ -270,6 +250,15 @@ let all ?(config = default) ?bank aig checker ~prng l ~vars =
          them here and let traversals name them in report meta *)
       Obs.add obs_aborted_vars (List.length kept);
       { lit = l; eliminated = List.rev eliminated; kept = List.rev kept; reports = List.rev reports }
+    | _ when Util.Limits.check (Cnf.Checker.limits checker) <> None ->
+      (* governor tripped: keep every remaining variable, the paper's §4
+         abort, without cofactoring, ordering or sweeping them. The set
+         stays exact, and the frame ends at its next exact query. *)
+      let n = List.length remaining in
+      Obs.add obs_limit_fallbacks n;
+      Obs.add obs_aborted n;
+      Obs.Trace_events.instant_args "quantify.limit_fallback" "vars" n;
+      go l [] eliminated (List.rev_append remaining kept) reports
     | _ ->
       let remaining =
         if config.greedy_order then begin

@@ -18,11 +18,12 @@
     {b Partial quantification}: a growth budget bounds every elimination;
     quantifications whose result would exceed it are {e aborted} and their
     variable kept free, so the caller can hand the residual variables to a
-    SAT-based engine (paper §4). Once the run's governor
-    ({!Util.Limits.t}, via {!Cnf.Checker.limits}) has tripped, every
-    further variable is aborted the same way, without sweeping or
-    optimizing: the residual set stays exact and the traversal stops at
-    its next checkpoint. *)
+    SAT-based engine (paper §4). {!all} is the one place that reacts to
+    the run's governor ({!Util.Limits.t}, via {!Cnf.Checker.limits}): it
+    polls it before each variable, and once it has tripped keeps every
+    remaining variable the same way, without cofactoring or sweeping
+    them. The residual set stays exact and the traversal stops at its
+    next exact query. *)
 
 type config = {
   sweep : Sweep.Sweeper.config; (* merge phase *)
@@ -37,8 +38,8 @@ type config = {
 val default : config
 
 (** Raw Shannon expansion: hashing only, no sweeping, no optimization, no
-    growth-budget abort — the baseline the paper improves on. A tripped
-    governor still keeps the variables. *)
+    growth-budget abort — the baseline the paper improves on. Under
+    {!all}, a tripped governor still keeps the variables. *)
 val naive_config : config
 
 type var_report = {
@@ -57,10 +58,10 @@ val pp_var_report : Format.formatter -> var_report -> unit
 
 (** [one ?config aig checker ~prng l v] eliminates a single variable.
     [Ok lit] on success; [Error lit'] when the growth budget rejected the
-    result or the governor had tripped ([lit'] is still equivalent to
-    [∃v. l]; after a trip it is the plain disjunction [l|v=0 ∨ l|v=1] —
-    callers doing partial quantification discard it and keep [v] free
-    instead). *)
+    result ([lit'] is still equivalent to [∃v. l] — callers doing partial
+    quantification discard it and keep [v] free instead). [one] does not
+    read the governor; a query it cannot settle only costs merges or
+    don't-cares, so the result stays exact. *)
 val one :
   ?config:config ->
   ?bank:Sweep.Pattern_bank.t ->
@@ -76,8 +77,7 @@ val one :
     {e jointly} (so merge points across every pair of cofactors are
     found, not just within one Shannon split), and combined by a balanced
     tree of disjunctions, don't-care-optimized under [config.use_dontcare].
-    [Error] as in {!one} when the joint result busts the growth budget or
-    the governor had tripped. *)
+    [Error] as in {!one} when the joint result busts the growth budget. *)
 val block :
   ?config:config ->
   ?bank:Sweep.Pattern_bank.t ->
@@ -97,7 +97,9 @@ type result = {
 
 (** [all ?config ?bank aig checker ~prng l ~vars] eliminates the variables
     in sequence (greedy cheapest-first when configured), keeping the
-    aborted ones — the paper's partial quantification. A shared
+    aborted ones — the paper's partial quantification. Before each
+    variable it polls the governor; once it has tripped, every remaining
+    variable is kept and [l] is not touched again. A shared
     {!Sweep.Pattern_bank.t} recycles every distinguishing SAT model across
     the per-variable sweeps (and, via the caller, across traversal
     frames). *)

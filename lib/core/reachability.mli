@@ -63,10 +63,9 @@ val pp_result : Format.formatter -> result -> unit
     traversal polls it at every frame boundary (deadline and AIG node
     ceiling), binds it to the shared SAT checker (conflict pool) and the
     sweeping stack (BDD node pool), and degrades gracefully — frames
-    completed before the trip are kept, the SAT-expensive optimizations
-    fall back to naive forms, and the verdict becomes [Undecided]
-    naming the tripped resource unless the run already holds a definite
-    answer. *)
+    completed before the trip are kept, the quantifier keeps the frame's
+    remaining variables, and the verdict becomes [Undecided] naming the
+    tripped resource unless the run already holds a definite answer. *)
 val run : ?config:config -> ?limits:Util.Limits.t -> Netlist.Model.t -> result
 
 (** {1 The frame loop}

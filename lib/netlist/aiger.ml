@@ -96,7 +96,7 @@ let () =
 
 let parse_error ~line ~token reason = raise (Parse_error { line; token; reason })
 
-type header = { ni : int; nl : int; no : int; na : int }
+type header = { m : int; ni : int; nl : int; no : int; na : int }
 
 (* parse tokens one by one so the diagnostic can name the offender *)
 let int_field ~lineno token =
@@ -112,14 +112,13 @@ let parse_header line =
       if n < 0 then parse_error ~line:1 ~token "expected a non-negative count";
       n
     in
-    (* in field order, so the diagnostic names the first bad count; the
-       maximum variable index is checked but not needed *)
-    ignore (count m);
+    (* in field order, so the diagnostic names the first bad count *)
+    let m = count m in
     let ni = count i in
     let nl = count l in
     let no = count o in
     let na = count a in
-    { ni; nl; no; na }
+    { m; ni; nl; no; na }
   | _ -> parse_error ~line:1 ~token:(String.trim line) "expected 'aag M I L O A' header"
 
 let ints_of_line ~lineno line =
@@ -175,12 +174,22 @@ let parse encoding ~name text =
         (if h.nl > lines then h.nl else h.no)
         (Printf.sprintf "latch and output lines beyond the document's %d" lines);
     if h.na > rest / 2 then
-      count_error h.na (Printf.sprintf "ANDs beyond the document's %d payload bytes" rest));
+      count_error h.na (Printf.sprintf "ANDs beyond the document's %d payload bytes" rest);
+    (* the numbering is implicit, so M is fixed by the other counts *)
+    if h.m <> h.ni + h.nl + h.na then
+      count_error h.m (Printf.sprintf "expected M = I + L + A = %d" (h.ni + h.nl + h.na)));
   let b = Builder.create name in
   let aig = Builder.aig b in
-  (* aiger var -> our literal *)
+  (* aiger var -> our literal: keyed by variable, since M is untrusted.
+     A variable is defined once and at most M; a literal on a variable
+     nobody defined is reported where it is used. *)
   let lit_of_var : (int, Aig.lit) Hashtbl.t = Hashtbl.create 64 in
-  let define var l = Hashtbl.replace lit_of_var var l in
+  let define ~line var l =
+    let refuse reason = parse_error ~line ~token:(string_of_int (2 * var)) reason in
+    if var > h.m then refuse (Printf.sprintf "variable %d above the header's M = %d" var h.m);
+    if Hashtbl.mem lit_of_var var then refuse (Printf.sprintf "variable %d defined twice" var);
+    Hashtbl.replace lit_of_var var l
+  in
   let our_lit ~line al =
     if al = 0 then Aig.false_
     else if al = 1 then Aig.true_
@@ -201,12 +210,12 @@ let parse encoding ~name text =
   | Ascii ->
     for _ = 1 to h.ni do
       match ints () with
-      | [ l ] when l mod 2 = 0 && l > 0 -> define (l / 2) (Builder.input b)
+      | [ l ] when l mod 2 = 0 && l > 0 -> define ~line:!lineno (l / 2) (Builder.input b)
       | _ -> malformed "expected an input line: one even positive literal"
     done
   | Binary ->
     for i = 1 to h.ni do
-      define i (Builder.input b)
+      define ~line:1 i (Builder.input b)
     done);
   (* latches: allocate state vars first, connect after ANDs are read *)
   let pending = ref [] in
@@ -222,7 +231,7 @@ let parse encoding ~name text =
       | Binary, _ -> malformed "expected a binary-format latch line: 'next [init]'"
     in
     let q = Builder.latch b ~init in
-    define var q;
+    define ~line:!lineno var q;
     pending := (q, next, !lineno) :: !pending
   done;
   (* outputs: the first is the bad-state function *)
@@ -233,7 +242,7 @@ let parse encoding ~name text =
     | _ -> malformed "expected an output line: one literal"
   done;
   let and_gate ~line lhs r0 r1 =
-    define (lhs / 2) (Aig.and_ aig (our_lit ~line r0) (our_lit ~line r1))
+    define ~line (lhs / 2) (Aig.and_ aig (our_lit ~line r0) (our_lit ~line r1))
   in
   (match encoding with
   | Ascii ->

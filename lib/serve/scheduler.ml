@@ -1,13 +1,13 @@
 (* Job scheduler on a worker-domain pool.
 
    A fixed pool of worker domains drains one FIFO queue of jobs. Each
-   job carries its model as frozen AIGER bytes (never a shared
-   manager: the worker thaws its own, the [Par.Clone] discipline), gets
-   a fresh cancellable [Util.Limits] governor built from its
-   server-capped budget, and streams its lifecycle through the [emit]
-   callback the owner (a server connection) provided. Workers never
-   die: a crashing engine is caught, reported as [Failed], and the
-   domain moves to the next job.
+   job carries the model [submit] parsed from its AIGER text; the
+   queue's mutex hands it to exactly one worker, so no manager is shared
+   between domains. A job gets a fresh cancellable [Util.Limits]
+   governor built from its server-capped budget, and streams its
+   lifecycle through the [emit] callback the owner (a server
+   connection) provided. Workers never die: a crashing engine is
+   caught, reported as [Failed], and the domain moves to the next job.
 
    Cancellation is cooperative, in the [Par.Race] style: cancelling a
    queued job marks it (the worker that eventually pops it replies
@@ -37,7 +37,7 @@ let obs_span = Obs.span "serve.job"
 type job = {
   id : int;
   model_name : string;
-  aig : string;
+  model : Netlist.Model.t; (* owned by the one worker that pops the job *)
   engine : Baselines.Suite.engine;
   budget : Protocol.budget; (* already capped by the server ceiling *)
   emit : Protocol.event -> unit; (* must never raise; may block on the socket *)
@@ -134,10 +134,9 @@ let run_job t job =
   let watch = Util.Stopwatch.start () in
   let outcome =
     try
-      let model = Netlist.Aiger.read ~name:job.model_name job.aig in
       Ok
         (Obs.Progress.with_listener on_frame (fun () ->
-             job.engine.Baselines.Suite.run ~limits model))
+             job.engine.Baselines.Suite.run ~limits job.model))
     with exn -> Error (Printexc.to_string exn)
   in
   let seconds = Util.Stopwatch.elapsed watch in
@@ -229,7 +228,7 @@ let submit t ~tag:_ ~model_name ~aig ~engine ~budget ~emit =
     | exception exn ->
       Obs.incr obs_rejected;
       Error (Printf.sprintf "bad AIGER (%s)" (Printexc.to_string exn))
-    | _model ->
+    | model ->
       let budget = Protocol.cap ~ceiling:t.ceiling budget in
       Mutex.protect t.mutex (fun () ->
           if t.stopping then begin
@@ -242,7 +241,7 @@ let submit t ~tag:_ ~model_name ~aig ~engine ~budget ~emit =
               {
                 id = t.next_id;
                 model_name;
-                aig;
+                model;
                 engine;
                 budget;
                 emit;

@@ -1,14 +1,14 @@
 (** Job scheduler on a worker-domain pool.
 
     A fixed pool of worker domains drains one FIFO queue of
-    model-checking jobs. Each job carries its model as frozen AIGER
-    bytes (the worker thaws a private copy, per the [Par.Clone]
-    discipline), runs under a fresh cancellable {!Util.Limits} governor
-    built from its server-capped budget, and streams its lifecycle
-    through the [emit] callback its owner provided: [Started], zero or
-    more [Progress] frames, then exactly one [Done] or [Failed].
-    Workers survive crashing engines — the exception becomes a [Failed]
-    event and the domain moves on.
+    model-checking jobs. Each job carries the model {!submit} parsed;
+    the queue hands it to exactly one worker, so no manager is shared
+    between domains. A job runs under a fresh cancellable
+    {!Util.Limits} governor built from its server-capped budget, and
+    streams its lifecycle through the [emit] callback its owner
+    provided: [Started], zero or more [Progress] frames, then exactly
+    one [Done] or [Failed]. Workers survive crashing engines — the
+    exception becomes a [Failed] event and the domain moves on.
 
     Completed runs persist schema-v2 reports into the shared
     {!Obs.Store} (when one was given), readable afterwards with the
@@ -23,9 +23,10 @@ type t
 val create :
   ?jobs:int -> ?ceiling:Protocol.budget -> ?store:Obs.Store.t -> unit -> t
 
-(** Validate (engine name, AIGER parse), cap the budget, and enqueue.
-    [emit] is called from worker domains and must not raise. Returns
-    the job id, or a rejection reason. *)
+(** Validate the engine name, parse the AIGER text (once: the job keeps
+    the model), cap the budget, and enqueue. [emit] is called from
+    worker domains and must not raise. Returns the job id, or a
+    rejection reason. *)
 val submit :
   t ->
   tag:string ->

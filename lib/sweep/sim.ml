@@ -182,7 +182,6 @@ let same_class t a b =
   end
 
 let refine t pattern =
-  let before = class_count t ~from:0 in
   (* lane 0 carries the model; the other 63 lanes are sparse random flips
      of it, turning one counterexample into a neighbourhood of patterns *)
   Util.Int_tbl.reset t.var_words;
@@ -197,7 +196,6 @@ let refine t pattern =
     t.vars;
   append_word t (fun v ->
       match Util.Int_tbl.find_opt t.var_words v with Some w -> w | None -> 0L);
-  t.n_refinements <- t.n_refinements + 1;
-  class_count t ~from:0 - before
+  t.n_refinements <- t.n_refinements + 1
 
 let refinements t = t.n_refinements

@@ -64,10 +64,9 @@ val lit_signature : t -> Aig.lit -> int64 array
 val lit_word : t -> Aig.lit -> int -> int64
 
 (** [refine t pattern] adds one concrete assignment as an extra
-    simulation pattern and re-splits all classes. Variables absent from
-    [pattern] default to [false]. Returns the number of classes that were
-    split. *)
-val refine : t -> (Aig.var -> bool) -> int
+    simulation pattern, so the next {!classes} splits every class it
+    distinguishes. Variables absent from [pattern] default to [false]. *)
+val refine : t -> (Aig.var -> bool) -> unit
 
 (** Number of refinement patterns folded in so far. *)
 val refinements : t -> int

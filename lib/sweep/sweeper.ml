@@ -99,25 +99,15 @@ let run ?(config = default) ?bank aig checker ~prng ~roots =
   let candidate_classes = List.length initial_classes in
   let candidate_literals = List.fold_left (fun acc c -> acc + List.length c) 0 initial_classes in
   (* stage 3: BDD sweeping. The governor's BDD node pool tightens the
-     per-sweep quota; a deadline or AIG-node trip skips the stage
-     outright, while a conflict-pool trip does not (BDDs are SAT-free,
-     so they are exactly what is left to sweep with). *)
+     per-sweep quota, and a dry pool skips the stage. *)
   let bdd_merges, bdd_aborted =
     let stage_quota =
       match Util.Limits.bdd_budget limits with
       | Some pool -> min config.bdd_node_limit pool
       | None -> config.bdd_node_limit
     in
-    let fatal_skip =
-      match Util.Limits.check limits with
-      | Some
-          ( Util.Limits.Deadline | Util.Limits.Aig_nodes | Util.Limits.Bdd_nodes
-          | Util.Limits.Cancelled ) ->
-        true
-      | Some Util.Limits.Conflicts | None -> false
-    in
     if config.bdd_node_limit <= 0 then (0, false)
-    else if stage_quota <= 0 || fatal_skip then begin
+    else if stage_quota <= 0 then begin
       Obs.incr obs_bdd_stage_skips;
       Obs.Trace_events.instant "sweep.bdd.limit_skip";
       (0, false)
@@ -216,7 +206,7 @@ let run ?(config = default) ?bank aig checker ~prng ~roots =
               (* fold the distinguishing model back into the signatures:
                  this splits every class the model distinguishes, so the
                  pair list must be recomputed *)
-              ignore (Sim.refine sim (fun v -> Cnf.Checker.model_var checker v));
+              Sim.refine sim (fun v -> Cnf.Checker.model_var checker v);
               progress := true
             | Cnf.Checker.Maybe ->
               incr sat_unknown;

@@ -8,13 +8,12 @@
     solver, the checker, the sweeper and every traversal engine.
 
     Exhaustion is {e graceful}, never an exception: once a fatal
-    resource trips, the governor turns sticky-exhausted, budgeted
-    queries start answering [Maybe]/[Unknown], optimization stages are
-    skipped (keeping what they proved so far), and the engines return
-    an anytime verdict naming the tripped resource and the deepest
-    frame reached. Verdicts produced under any limit configuration are
-    sound: a degraded run may answer Unknown, never a wrong
-    Safe/Unsafe.
+    resource trips, the governor turns sticky-exhausted, queries start
+    answering [Maybe]/[Unknown], the quantifier keeps the variables it
+    has not eliminated yet, and the engines return an anytime verdict
+    naming the tripped resource and the deepest frame reached. Verdicts
+    produced under any limit configuration are sound: a degraded run
+    may answer Unknown, never a wrong Safe/Unsafe.
 
     The BDD node pool is the one non-fatal resource: draining it only
     disables further BDD sweeping (the engines whose {e primary}

@@ -153,6 +153,17 @@ let test_checker_shortcuts_to_maybe () =
   check bool "answers Maybe after exhaustion" true
     (Cnf.Checker.satisfiable checker [ f ] = Cnf.Checker.Maybe)
 
+(* the checker reads the clock itself: under a deadline already behind
+   it, with nothing else polling, an easy query answers Maybe without
+   touching the solver *)
+let test_checker_polls_the_deadline () =
+  let aig = Aig.create () in
+  let f = Aig.and_ aig (Aig.var aig 0) (Aig.var aig 1) in
+  let checker = Cnf.Checker.create ~limits:(Util.Limits.create ~timeout:0.0 ()) aig in
+  let before = Cnf.Checker.solver_stats checker in
+  check bool "answers Maybe" true (Cnf.Checker.satisfiable checker [ f ] = Cnf.Checker.Maybe);
+  check bool "no solver call" true (Cnf.Checker.solver_stats checker = before)
+
 let test_solver_charges_the_pool () =
   (* an unsatisfiable pigeonhole-ish core costs conflicts; the run-wide
      pool must shrink after the query *)
@@ -205,8 +216,8 @@ let test_conflict_trip_does_not_skip_bdd_stage () =
 let test_quantify_fallback_equivalence () =
   (* a tripped governor keeps every variable (the paper's partial
      quantification abort): [all] hands back [f] itself with both
-     variables kept, and [one]'s [Error] payload is still the exact
-     quantification, the plain Shannon disjunction *)
+     variables kept, and [one], which does not read the governor, still
+     computes the exact quantification *)
   let build () =
     let aig = Aig.create () in
     let xs = List.init 5 (Aig.var aig) in
@@ -232,10 +243,8 @@ let test_quantify_fallback_equivalence () =
     Aig.or_ aig (Aig.cofactor aig f ~v:0 ~phase:false) (Aig.cofactor aig f ~v:0 ~phase:true)
   in
   (match Cbq.Quantify.one aig checker ~prng f 0 with
-  | Error g, report ->
-    check bool "reported as aborted" true report.Cbq.Quantify.aborted;
-    check bool "payload is the Shannon disjunction" true (semantically_equal aig 5 g shannon)
-  | Ok _, _ -> Alcotest.fail "a tripped governor must keep the variable");
+  | (Ok g | Error g), _ ->
+    check bool "one's result is the Shannon disjunction" true (semantically_equal aig 5 g shannon));
   (* and it is the set the unbounded path computes *)
   let aig_u, f_u = build () in
   let unbounded =
@@ -246,6 +255,29 @@ let test_quantify_fallback_equivalence () =
     let table aig l = List.init 32 (eval_mask aig l) in
     check bool "same set as the unbounded path" true (table aig_u g_u = table aig shannon)
   | Error _, _ -> Alcotest.fail "the unbounded path eliminates x0"
+
+(* [all] is the one place that reacts to a trip: it polls before each
+   variable and keeps the rest without cofactoring them, so the manager
+   gains no node *)
+let test_quantify_all_stops_at_a_trip () =
+  let aig = Aig.create () in
+  let n = 12 in
+  let xs = Array.init n (Aig.var aig) in
+  let f =
+    List.fold_left (Aig.xor_ aig) Aig.false_
+      (List.init n (fun i -> Aig.and_ aig xs.(i) (Aig.not_ xs.((i + 1) mod n))))
+  in
+  let vars = List.init n Fun.id in
+  check int "every variable in the cone" n (List.length (Aig.support aig f));
+  let limits = Util.Limits.create () in
+  Util.Limits.cancel limits;
+  let checker = Cnf.Checker.create ~limits aig in
+  let nodes = Aig.num_nodes aig in
+  let r = Cbq.Quantify.all aig checker ~prng:(Util.Prng.create 5) f ~vars in
+  check int "returns its input literal" f r.Cbq.Quantify.lit;
+  check (Alcotest.list int) "keeps every variable" vars (List.sort Int.compare r.Cbq.Quantify.kept);
+  check (Alcotest.list int) "eliminates none" [] r.Cbq.Quantify.eliminated;
+  check int "adds no AIG node" nodes (Aig.num_nodes aig)
 
 (* the latency contract: a CBQ traversal cancelled from another domain
    mid-frame stops promptly, because the quantifier keeps the frame's
@@ -460,6 +492,7 @@ let () =
       ( "sat",
         [
           Alcotest.test_case "checker shortcuts to Maybe" `Quick test_checker_shortcuts_to_maybe;
+          Alcotest.test_case "checker polls the deadline" `Quick test_checker_polls_the_deadline;
           Alcotest.test_case "solver charges the pool" `Quick test_solver_charges_the_pool;
         ] );
       ( "sweep",
@@ -473,6 +506,8 @@ let () =
         [
           Alcotest.test_case "fallback computes the same set" `Quick
             test_quantify_fallback_equivalence;
+          Alcotest.test_case "a trip stops the variable loop" `Quick
+            test_quantify_all_stops_at_a_trip;
           Alcotest.test_case "cancel stops a traversal mid-frame" `Quick
             test_cancel_stops_traversal;
         ] );

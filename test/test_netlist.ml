@@ -238,6 +238,14 @@ let test_aiger_parse_error_details () =
     ~token:"9";
   expect_error "ascii header without newline" ascii "aag 1 1 0 0 0" ~line:1 ~token:""
     ~reason:"truncated document (expected 2 lines)";
+  (* a variable is defined once and at most M; the binary numbering is
+     implicit, so there M must be I + L + A *)
+  expect_error "ascii input defined twice" ascii "aag 1 2 0 1 0\n2\n2\n3\n" ~line:3 ~token:"2"
+    ~reason:"variable 1 defined twice";
+  expect_error "ascii AND above M" ascii "aag 2 1 1 1 1\n2\n4 6\n6\n6 4 2\n" ~line:5 ~token:"6"
+    ~reason:"variable 3 above the header's M = 2";
+  expect_error "binary M not I + L + A" binary "aig 3 1 1 1 0\n4 0\n4\n" ~line:1 ~token:"3"
+    ~reason:"expected M = I + L + A = 2";
   (* registered printer renders the diagnostic *)
   let contains s sub =
     let n = String.length s and m = String.length sub in

@@ -26,7 +26,7 @@ let test_refine_lane0_oracle () =
   let prng = Util.Prng.create 4 in
   let sim = Sweep.Sim.create aig ~roots:[ f ] ~rounds:2 ~prng in
   let pattern v = v = 1 || v = 2 in
-  ignore (Sweep.Sim.refine sim pattern);
+  Sweep.Sim.refine sim pattern;
   let w = Sweep.Sim.words sim - 1 in
   List.iter
     (fun n ->

@@ -50,7 +50,7 @@ let test_sim_refine_splits () =
   let prng = Util.Prng.create 2 in
   let sim = Sweep.Sim.create aig ~roots:[ f ] ~rounds:1 ~prng in
   let before = Sweep.Sim.refinements sim in
-  ignore (Sweep.Sim.refine sim (fun v -> v = 0));
+  Sweep.Sim.refine sim (fun v -> v = 0);
   check int "refinement counted" (before + 1) (Sweep.Sim.refinements sim);
   check bool "x and y distinguished by the pattern" false (Sweep.Sim.same_class sim x y)
 
